@@ -1,0 +1,29 @@
+//! A small seeded generator (SplitMix64). The benchmark's inputs come only
+//! from `--seed`, so every run with the same seed sends the same bytes.
+
+#[derive(Debug, Clone)]
+pub struct Rng(u64);
+
+impl Rng {
+    pub fn new(seed: u64) -> Rng {
+        Rng(seed ^ 0x5DEE_CE66_D1CE_4E5B)
+    }
+
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+
+    /// True with probability `permille / 1000`.
+    pub fn chance(&mut self, permille: u32) -> bool {
+        self.below(1000) < u64::from(permille)
+    }
+}
