@@ -140,6 +140,12 @@ impl Engine {
         &self.history
     }
 
+    /// Drops retained history states below global index `idx` (the newest
+    /// state always stays); see [`History::forget_before`].
+    pub fn forget_before(&mut self, idx: usize) {
+        self.history.forget_before(idx);
+    }
+
     pub fn open_txns(&self) -> impl Iterator<Item = TxnId> + '_ {
         self.open.keys().copied()
     }

@@ -129,11 +129,20 @@ impl fmt::Display for SystemState {
 
 /// A finite sequence of system states with strictly increasing timestamps.
 ///
-/// The incremental evaluator never reads old states, so a history may be
-/// capped: `with_capacity_limit(k)` keeps only the most recent `k` states
-/// (the *offset* of the first retained state is tracked so global indices
-/// stay stable). The naive baseline and the valid-time machinery use
-/// unbounded histories.
+/// The incremental evaluator never reads old states (Theorem 1), so a
+/// history need not keep all of them. Two ways drop a prefix, and both
+/// keep global indices stable by tracking the *offset* of the first
+/// retained state:
+///
+/// * a cap — `with_capacity_limit(k)` keeps only the most recent `k`
+///   states;
+/// * [`History::forget_before`] — the owner drops every state below an
+///   index it no longer needs (a server shard forgets the states its
+///   dispatcher has consumed, keeping the undispatched suffix plus the
+///   newest state).
+///
+/// The naive baseline, the oracle suites and the valid-time machinery
+/// use unbounded histories.
 #[derive(Debug, Clone, Default)]
 pub struct History {
     states: Vec<SystemState>,
@@ -181,13 +190,31 @@ impl History {
             offset,
             cap,
         };
-        if let Some(cap) = h.cap {
-            while h.states.len() > cap.max(1) {
-                h.states.remove(0);
-                h.offset += 1;
-            }
-        }
+        h.trim_to_cap();
         h
+    }
+
+    /// Drops every retained state with a global index below `idx`, except
+    /// that the newest state is always kept (the next state's timestamp is
+    /// checked against it, and action terms are evaluated at it). `len()`, `last_index()` and `get(i)` for every
+    /// still-retained `i` are unchanged; at or below the current offset this
+    /// is a no-op. One `drain`, so forgetting `k` states costs O(retained),
+    /// not O(k · retained).
+    pub fn forget_before(&mut self, idx: usize) {
+        let keep_from = idx.min(self.len().saturating_sub(1));
+        let n = keep_from.saturating_sub(self.offset);
+        if n > 0 {
+            self.states.drain(..n);
+            self.offset += n;
+        }
+    }
+
+    /// Enforces the retention cap, if any.
+    fn trim_to_cap(&mut self) {
+        if let Some(cap) = self.cap {
+            let excess = self.states.len().saturating_sub(cap.max(1));
+            self.forget_before(self.offset + excess);
+        }
     }
 
     /// The retention cap this history was built with, if any.
@@ -243,12 +270,7 @@ impl History {
             states_counter().inc();
         }
         self.states.push(s);
-        if let Some(cap) = self.cap {
-            while self.states.len() > cap {
-                self.states.remove(0);
-                self.offset += 1;
-            }
-        }
+        self.trim_to_cap();
         self.len() - 1
     }
 
@@ -372,6 +394,50 @@ mod tests {
         assert!(h.get(0).is_none());
         assert_eq!(h.get(4).unwrap().time(), Timestamp(4));
         assert_eq!(h.last_index(), Some(4));
+    }
+
+    #[test]
+    fn forget_before_keeps_indices_and_the_newest_state() {
+        let mut h = History::new();
+        for t in 0..6 {
+            h.push(state(t, EventSet::new()));
+        }
+        h.forget_before(3);
+        assert_eq!(h.len(), 6);
+        assert_eq!(h.retained(), 3);
+        assert!(h.get(2).is_none());
+        for i in 3..6 {
+            assert_eq!(h.get(i).unwrap().time(), Timestamp(i as i64));
+        }
+        // At or below the offset: no-op.
+        h.forget_before(3);
+        h.forget_before(0);
+        assert_eq!(h.retained(), 3);
+        // Past the end: the newest state survives.
+        h.forget_before(100);
+        assert_eq!(h.retained(), 1);
+        assert_eq!(h.len(), 6);
+        assert_eq!(h.last_index(), Some(5));
+        assert_eq!(h.get(5).unwrap().time(), Timestamp(5));
+        // Appends continue the global numbering.
+        assert_eq!(h.push(state(9, EventSet::new())), 6);
+        assert_eq!(h.index_at(Timestamp(9)), Some(6));
+    }
+
+    #[test]
+    fn forget_before_on_an_empty_history_is_a_no_op() {
+        let mut h = History::new();
+        h.forget_before(5);
+        assert_eq!((h.len(), h.retained()), (0, 0));
+    }
+
+    #[test]
+    fn from_parts_applies_the_cap() {
+        let states: Vec<_> = (0..5).map(|t| state(t, EventSet::new())).collect();
+        let h = History::from_parts(10, states, Some(2));
+        assert_eq!(h.len(), 15);
+        assert_eq!(h.retained(), 2);
+        assert_eq!(h.get(13).unwrap().time(), Timestamp(3));
     }
 
     #[test]

@@ -3,9 +3,14 @@
 //!
 //! A [`Database`] value is one *database state* in the paper's sense — "a
 //! mapping that associates a value from the appropriate domain with each
-//! database item". Snapshots are cheap: relations are stored behind `Arc`s
-//! and copied on write, so the engine can retain one snapshot per system
-//! state without quadratic memory cost.
+//! database item". Taking a snapshot is cheap: relations are stored behind
+//! `Arc`s and copied on write, so a snapshot shares every relation it does
+//! not change. A *written* relation is copied whole, though, so retaining
+//! one snapshot per system state still costs quadratic memory when a
+//! relation grows by a row per state (an `executed` log, an append-only
+//! audit table): state `k` holds its own `k`-row copy. That is why the
+//! server's shards keep only the undispatched history suffix (see
+//! `tdb_engine::History::forget_before`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

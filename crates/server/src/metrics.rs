@@ -86,6 +86,8 @@ pub fn publish_tenant_gauges(name: &str, stats: &tdb_core::ShardStats, wal_bytes
         .set(as_i64(stats.firings));
     r.gauge_with("tdb_server_tenant_retained", labels)
         .set(as_i64(stats.retained));
+    r.gauge_with("tdb_server_tenant_history_retained", labels)
+        .set(as_i64(stats.retained_states));
     r.gauge_with("tdb_server_tenant_wal_bytes", labels)
         .set(i64::try_from(wal_bytes).unwrap_or(i64::MAX));
     // Batch-safety certificate as a scalar: 0 = exact, k ≥ 1 = stratified
@@ -128,6 +130,7 @@ mod tests {
     fn tenant_gauges_carry_tenant_label() {
         let stats = tdb_core::ShardStats {
             states: 3,
+            retained_states: 1,
             rules: 2,
             firings: 1,
             retained: 8,
@@ -138,6 +141,10 @@ mod tests {
         let text = global().snapshot().render_prometheus();
         assert!(
             text.contains("tdb_server_tenant_states{tenant=\"acme\"} 3"),
+            "{text}"
+        );
+        assert!(
+            text.contains("tdb_server_tenant_history_retained{tenant=\"acme\"} 1"),
             "{text}"
         );
         assert!(

@@ -364,13 +364,14 @@ impl VtShard {
 
     /// Point-in-time gauges mapped onto the shared [`ShardStats`] shape:
     /// `states` counts the whole logical history (live window + compacted
-    /// prefix), `firings` the confirmed log, `retained` the undecided
+    /// prefix), `retained_states` the live window, `firings` the confirmed log, `retained` the undecided
     /// tentative firings. The certificate is `CascadeRequired` so the
     /// adaptive coalescer never opens a window — valid-time commits are
     /// not certified for fused evaluation.
     pub fn stats(&self) -> ShardStats {
         ShardStats {
             states: self.vt.engine().state_count() + self.vt.engine().compacted(),
+            retained_states: self.vt.engine().state_count(),
             rules: self.vt.rule_count(),
             firings: self
                 .vt
