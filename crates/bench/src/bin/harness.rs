@@ -860,7 +860,7 @@ fn main() {
         println!(
             "{}",
             render(
-                "E20a: connection scaling — thread-per-connection vs readiness poller",
+                "E20a: connection scaling — readiness poller, one connection thread",
                 &[
                     "mode",
                     "conns",

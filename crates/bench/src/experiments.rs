@@ -2090,15 +2090,15 @@ pub fn e17_shard_scaling(shard_counts: &[usize], states_per_tenant: usize) -> Ve
 /// workload at a given connection count, under one connection-layer mode.
 #[derive(Debug, Clone)]
 pub struct E20ScaleRow {
-    /// `"thread"` (one OS thread per connection) or `"poll"` (one poller).
+    /// Always `"poll"`: the one connection loop.
     pub mode: &'static str,
     pub conns: usize,
     pub states_per_conn: usize,
     pub total_states: usize,
     pub elapsed_us: f64,
     pub agg_states_per_sec: f64,
-    /// Server-side connection-layer threads: `conns + 1` acceptor in
-    /// thread mode, exactly 1 in poll mode (the shard pool is identical).
+    /// Server-side connection-layer threads: the one poller, whatever
+    /// the connection count.
     pub conn_threads: usize,
     pub host_cpus: usize,
     /// Every connection's acked firing stream matched the single-process
@@ -2159,16 +2159,12 @@ fn e20_oracle(tenant: usize, states: usize) -> Vec<tdb_core::rules::FiringRecord
 
 /// Connection scaling: N concurrent clients, each driving its *own*
 /// tenant (so every firing stream stays deterministic against a library
-/// oracle), under the thread-per-connection baseline and the readiness
-/// poller. The shard pool is identical in both modes; the rows isolate
-/// the connection layer. The poller must sustain at least the baseline's
-/// aggregate throughput at every count while using one connection thread
-/// instead of N+1 — and N mostly-idle connections cost it no threads at
-/// all.
+/// oracle), through the readiness poller. Every count is served by one
+/// connection thread, whatever the number of sockets.
 pub fn e20_conn_scaling(conn_counts: &[usize], states_per_conn: usize) -> Vec<E20ScaleRow> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    use tdb_server::{Client, ConnMode, Server, ServerConfig};
+    use tdb_server::{Client, Server, ServerConfig};
 
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -2177,75 +2173,66 @@ pub fn e20_conn_scaling(conn_counts: &[usize], states_per_conn: usize) -> Vec<E2
 
     let mut rows = Vec::new();
     for &conns in conn_counts {
-        for mode in [ConnMode::Thread, ConnMode::Poll] {
-            let handle = Server::start(ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                workers,
-                conn_mode: mode,
-                ..ServerConfig::default()
-            })
-            .expect("server starts");
-            let addr = handle.addr();
+        let handle = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers,
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let addr = handle.addr();
 
-            let mut setup = Client::connect(addr).expect("setup connect");
-            for i in 0..conns {
-                let tenant = format!("e20-{i}");
-                setup.create_tenant(&tenant, false).expect("create");
-                assert!(setup
-                    .commit(&tenant, e20_seed_ops())
-                    .expect("seed")
-                    .all_ok());
-                setup.register_rules(&tenant, E20_RULES).expect("register");
-            }
-
-            let all_ok = Arc::new(AtomicBool::new(true));
-            let start = Instant::now();
-            let drivers: Vec<_> = (0..conns)
-                .map(|i| {
-                    let all_ok = Arc::clone(&all_ok);
-                    std::thread::spawn(move || {
-                        let tenant = format!("e20-{i}");
-                        let mut c = Client::connect(addr).expect("driver connect");
-                        let mut firings = Vec::new();
-                        for k in 1..=states_per_conn {
-                            let out = c.commit(&tenant, e20_step(i, k)).expect("commit");
-                            if !out.all_ok() {
-                                all_ok.store(false, Ordering::SeqCst);
-                            }
-                            firings.extend(out.firings);
-                        }
-                        firings
-                    })
-                })
-                .collect();
-            let mut firings_ok = true;
-            for (i, d) in drivers.into_iter().enumerate() {
-                let got = d.join().expect("driver thread");
-                firings_ok &= got == e20_oracle(i, states_per_conn);
-            }
-            let elapsed_us = micros(start.elapsed());
-            firings_ok &= all_ok.load(Ordering::SeqCst);
-            handle.stop();
-
-            let total_states = conns * states_per_conn;
-            rows.push(E20ScaleRow {
-                mode: match mode {
-                    ConnMode::Thread => "thread",
-                    ConnMode::Poll => "poll",
-                },
-                conns,
-                states_per_conn,
-                total_states,
-                elapsed_us,
-                agg_states_per_sec: total_states as f64 / (elapsed_us / 1e6),
-                conn_threads: match mode {
-                    ConnMode::Thread => conns + 1,
-                    ConnMode::Poll => 1,
-                },
-                host_cpus,
-                firings_ok,
-            });
+        let mut setup = Client::connect(addr).expect("setup connect");
+        for i in 0..conns {
+            let tenant = format!("e20-{i}");
+            setup.create_tenant(&tenant, false).expect("create");
+            assert!(setup
+                .commit(&tenant, e20_seed_ops())
+                .expect("seed")
+                .all_ok());
+            setup.register_rules(&tenant, E20_RULES).expect("register");
         }
+
+        let all_ok = Arc::new(AtomicBool::new(true));
+        let start = Instant::now();
+        let drivers: Vec<_> = (0..conns)
+            .map(|i| {
+                let all_ok = Arc::clone(&all_ok);
+                std::thread::spawn(move || {
+                    let tenant = format!("e20-{i}");
+                    let mut c = Client::connect(addr).expect("driver connect");
+                    let mut firings = Vec::new();
+                    for k in 1..=states_per_conn {
+                        let out = c.commit(&tenant, e20_step(i, k)).expect("commit");
+                        if !out.all_ok() {
+                            all_ok.store(false, Ordering::SeqCst);
+                        }
+                        firings.extend(out.firings);
+                    }
+                    firings
+                })
+            })
+            .collect();
+        let mut firings_ok = true;
+        for (i, d) in drivers.into_iter().enumerate() {
+            let got = d.join().expect("driver thread");
+            firings_ok &= got == e20_oracle(i, states_per_conn);
+        }
+        let elapsed_us = micros(start.elapsed());
+        firings_ok &= all_ok.load(Ordering::SeqCst);
+        handle.stop();
+
+        let total_states = conns * states_per_conn;
+        rows.push(E20ScaleRow {
+            mode: "poll",
+            conns,
+            states_per_conn,
+            total_states,
+            elapsed_us,
+            agg_states_per_sec: total_states as f64 / (elapsed_us / 1e6),
+            conn_threads: 1,
+            host_cpus,
+            firings_ok,
+        });
     }
     rows
 }

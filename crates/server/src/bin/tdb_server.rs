@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! tdb-server [--addr HOST:PORT] [--workers N] [--data-dir DIR]
-//!            [--lint allow|warn|deny] [--no-sync]
-//!            [--conn-mode poll|thread] [--coalesce-window USEC]
+//!            [--lint allow|warn|deny] [--no-sync] [--coalesce-window USEC]
 //!            [--max-delay TICKS] [--no-adaptive] [--no-rebalance] [--quiet]
 //! ```
 //!
@@ -15,14 +14,13 @@
 use std::process::ExitCode;
 
 use tdb_analysis::LintLevel;
-use tdb_server::{ConnMode, Server, ServerConfig};
+use tdb_server::{Server, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: tdb-server [--addr HOST:PORT] [--workers N] [--data-dir DIR] \
-         [--lint allow|warn|deny] [--no-sync] [--conn-mode poll|thread] \
-         [--coalesce-window USEC] [--max-delay TICKS] [--no-adaptive] \
-         [--no-rebalance] [--quiet]"
+         [--lint allow|warn|deny] [--no-sync] [--coalesce-window USEC] \
+         [--max-delay TICKS] [--no-adaptive] [--no-rebalance] [--quiet]"
     );
     std::process::exit(2);
 }
@@ -54,13 +52,6 @@ fn main() -> ExitCode {
                 }
             }
             "--no-sync" => cfg.checkpoint.sync = tdb_core::SyncPolicy::Never,
-            "--conn-mode" => {
-                cfg.conn_mode = match value("mode").as_str() {
-                    "poll" => ConnMode::Poll,
-                    "thread" => ConnMode::Thread,
-                    _ => usage(),
-                }
-            }
             // A fixed window disables the adaptive coalescer (manual
             // override); 0 restores the adaptive default.
             "--coalesce-window" => match value("microseconds").parse() {

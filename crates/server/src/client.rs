@@ -343,6 +343,6 @@ impl Client {
     }
 }
 
-fn unexpected(wanted: &str, got: &Response) -> ServerError {
+pub(crate) fn unexpected(wanted: &str, got: &Response) -> ServerError {
     ServerError::Invalid(format!("expected {wanted}, got {got:?}"))
 }

@@ -9,14 +9,24 @@
 //! internally synchronized and bounded), so workers never contend beyond
 //! the global metrics registry.
 //!
-//! Requests travel as [`Job`]s inside [`Envelope`]s: the envelope carries a
-//! per-tenant pending guard so the router always knows whether a tenant has
-//! queued or in-flight work. That is what makes *re-pinning* safe: an idle
-//! tenant (pending count zero, observed under the route lock) can be moved
-//! from the hottest worker to the coldest with an `Expect`/`Extract`/
-//! `Install` handshake that preserves the per-tenant FIFO (§15 argues the
-//! ordering). Per-worker queue-depth and busy EWMAs ([`WorkerLoad`]) feed
-//! the rebalance planner and the `tdb_server_worker_*` gauges.
+//! One request path: every request enters through [`Runtime::submit`] (a
+//! connection's decoded frame, answered on its [`SharedWriter`]) or
+//! [`Runtime::request`] (an in-process caller, answered on a channel).
+//! Tenant-free requests are answered on the spot; every tenant-scoped
+//! request, creates included, travels to the owning worker as one
+//! [`Job::Request`], and one worker function (`WorkerState::service`)
+//! turns it into a [`Response`]. The answer leaves through `Reply::send`,
+//! the only place that renders errors, counts the request under its kind
+//! and settles a create's route reservation.
+//!
+//! Jobs travel inside [`Envelope`]s: the envelope carries a per-tenant
+//! pending guard so the router always knows whether a tenant has queued or
+//! in-flight work. That is what makes *re-pinning* safe: an idle tenant
+//! (pending count zero, observed under the route lock) can be moved from
+//! the hottest worker to the coldest with an `Expect`/`Extract`/`Install`
+//! handshake that preserves the per-tenant FIFO (§15 argues the ordering).
+//! Per-worker queue-depth and busy EWMAs ([`WorkerLoad`]) feed the
+//! rebalance planner and the `tdb_server_worker_*` gauges.
 //!
 //! Commits coalesce in one of two modes: a fixed window
 //! (`--coalesce-window`, the E18 behavior) or — the default — an *adaptive*
@@ -39,31 +49,19 @@ use tdb_analysis::LintLevel;
 use tdb_core::manager::{CascadeMode, ManagerConfig};
 use tdb_core::rules::FiringRecord;
 use tdb_core::storage::LogicalOp;
-use tdb_core::BatchCertificate;
-use tdb_core::{ShardStats, SyncPolicy};
+use tdb_core::{ApplyOutcome, BatchCertificate, SyncPolicy, VtFiringEvent, VtPhase};
 use tdb_obs::global;
-use tdb_relation::{Relation, Value};
 use tdb_storage::codec::encode_snapshot;
 use tdb_storage::CheckpointPolicy;
 
+use crate::client::unexpected;
 use crate::conn::{DEFAULT_OUTBUF_HARD, DEFAULT_OUTBUF_SOFT};
-use crate::metrics::{publish_tenant_gauges, publish_vt_watermark, ServerMetrics};
+use crate::metrics::{publish_tenant_gauges, publish_vt_watermark, request_timer, ServerMetrics};
 use crate::tenant::Tenant;
 use crate::wire::{
     encode_response, write_frame, ErrorCode, MetricsFormat, Request, Response, PROTOCOL_VERSION,
 };
 use crate::{Result, ServerError};
-
-/// How the front end owns client sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnMode {
-    /// One poller thread owns every socket via `poll(2)` readiness;
-    /// complete frames are handed to the shard pool (the default).
-    Poll,
-    /// One OS thread per connection (the pre-poller baseline, kept for
-    /// comparison benchmarks).
-    Thread,
-}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -91,13 +89,11 @@ pub struct ServerConfig {
     /// latency and arrival pattern, ceiling-ed by the batch-safety
     /// certificate. Only consulted while `coalesce_window_us == 0`.
     pub adaptive_coalesce: bool,
-    /// Connection-layer mode (readiness poller vs thread-per-connection).
-    pub conn_mode: ConnMode,
     /// Move idle tenants off the hottest worker when load skews.
     pub rebalance: bool,
-    /// Outbound queue backpressure thresholds per connection (poller
-    /// mode): past `soft` a stall episode is counted, past `hard` the
-    /// connection is killed instead of buffering without bound.
+    /// Outbound queue backpressure thresholds per connection: past `soft`
+    /// a stall episode is counted, past `hard` the connection is killed
+    /// instead of buffering without bound.
     pub outbuf_soft_limit: usize,
     pub outbuf_hard_limit: usize,
     /// Default disorder bound Δ for valid-time tenants created without an
@@ -120,7 +116,6 @@ impl Default for ServerConfig {
             },
             coalesce_window_us: 0,
             adaptive_coalesce: true,
-            conn_mode: ConnMode::Poll,
             rebalance: true,
             outbuf_soft_limit: DEFAULT_OUTBUF_SOFT,
             outbuf_hard_limit: DEFAULT_OUTBUF_HARD,
@@ -146,19 +141,16 @@ impl ServerConfig {
 
 /// What a connection's outbound half can do beyond `Write`: report that
 /// the connection is already known dead, so workers can prune subscribers
-/// without waiting for a push to fail. Thread-mode `TcpStream` writers
-/// keep the default (death is only discovered by a failed write).
+/// without waiting for a push to fail. In-memory sinks keep the default.
 pub trait FrameSink: Write + Send {
     fn is_dead(&self) -> bool {
         false
     }
 }
 
-impl FrameSink for std::net::TcpStream {}
-
-/// A connection's outbound half, shared between its request/response loop
-/// and the workers pushing subscription frames at it. The mutex is the
-/// per-connection write serialization point.
+/// A connection's outbound half, shared between the connection layer and
+/// the workers answering its requests and pushing subscription frames at
+/// it. The mutex is the per-connection write serialization point.
 pub type SharedWriter = Arc<Mutex<dyn FrameSink>>;
 
 // ---- adaptive coalescing ----------------------------------------------------
@@ -272,99 +264,79 @@ impl BusyMeter {
     }
 }
 
-// ---- jobs -------------------------------------------------------------------
+// ---- requests and jobs ------------------------------------------------------
 
-type CommitResult = Result<(Vec<std::result::Result<(), String>>, Vec<FiringRecord>)>;
-type CommitReply = Sender<CommitResult>;
-
-/// Where a create's answer goes: a rendezvous channel (in-process
-/// callers, thread-mode connections) or straight onto a poller
-/// connection. On the `Net` path the *worker* finishes the bookkeeping
-/// the blocking caller would have done — rolling back the reserved route
-/// on failure, bumping the tenant gauge on success — so the poller never
-/// waits on the shard pool.
-enum CreateSink {
-    Channel(Sender<Result<()>>),
-    Net {
-        id: u64,
-        writer: SharedWriter,
-        t0: Option<Instant>,
-    },
+/// Where a request's answer goes.
+enum ReplyTo {
+    /// A connection's outbound half; a subscription also keeps it for
+    /// pushed frames.
+    Wire(SharedWriter),
+    /// An in-process caller blocked in [`Runtime::request`].
+    Channel(Sender<Response>),
 }
 
-/// One unit of work for a shard worker. Replies are rendezvous channels;
-/// a dropped reply receiver just discards the answer.
+/// Everything needed to answer one request, from whichever thread
+/// finishes it. [`Reply::send`] is the single point where a result leaves
+/// the runtime.
+struct Reply {
+    id: u64,
+    kind: &'static str,
+    t0: Option<Instant>,
+    to: ReplyTo,
+    /// The route entry a create reserved: removed if the create fails,
+    /// counted on the tenant gauge once it succeeds.
+    reserved: Option<String>,
+}
+
+impl Reply {
+    fn new(id: u64, req: &Request, to: ReplyTo) -> Reply {
+        Reply {
+            id,
+            kind: request_kind(req),
+            t0: request_timer(),
+            to,
+            reserved: None,
+        }
+    }
+
+    /// Renders `r` (errors through [`error_response`]) and delivers it.
+    fn send(self, metrics: &ServerMetrics, route: &RouteTable, r: Result<Response>) {
+        self.deliver(metrics, route, r.unwrap_or_else(error_response));
+    }
+
+    /// Delivers a rendered response: settles a create's reservation,
+    /// counts the request under its kind, and writes the frame (or wakes
+    /// the blocked caller).
+    fn deliver(self, metrics: &ServerMetrics, route: &RouteTable, resp: Response) {
+        let ok = !matches!(resp, Response::Error { .. });
+        if let Some(name) = self.reserved {
+            if ok {
+                metrics.tenants.add(1);
+            } else {
+                route
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .remove(&name);
+            }
+        }
+        metrics.observe_request(self.kind, self.t0, ok);
+        match self.to {
+            ReplyTo::Wire(writer) => {
+                send_response(&writer, self.id, &resp);
+            }
+            ReplyTo::Channel(tx) => {
+                let _ = tx.send(resp);
+            }
+        }
+    }
+}
+
+/// One unit of work for a shard worker.
 enum Job {
-    /// Create (or, at startup, reopen) a tenant on this worker.
-    /// `vt: Some(Δ)` creates a valid-time tenant with that (already
-    /// resolved) disorder bound.
-    Create {
-        name: String,
-        durable: bool,
-        vt: Option<i64>,
-        reply: CreateSink,
-    },
-    Register {
-        tenant: String,
-        source: String,
-        reply: Sender<Result<(Vec<String>, Vec<String>)>>,
-    },
-    Commit {
-        tenant: String,
-        ops: Vec<LogicalOp>,
-        reply: CommitReply,
-    },
-    /// Streaming ingest on a valid-time tenant: writes at an explicit
-    /// valid time ≤ the arrival instant. Replies with the watermark and
-    /// the phase-tagged stream events the ingest produced.
-    CommitAt {
-        tenant: String,
-        arrival: tdb_relation::Timestamp,
-        valid: tdb_relation::Timestamp,
-        ops: Vec<tdb_engine::WriteOp>,
-        reply: Sender<Result<(tdb_relation::Timestamp, Vec<tdb_core::VtFiringEvent>)>>,
-    },
-    /// Group commit: `ops` become one WAL record / one fsync / one
-    /// evaluation slice (see `ActiveDatabase::commit_batch`).
-    CommitBatch {
-        tenant: String,
-        ops: Vec<LogicalOp>,
-        reply: CommitReply,
-    },
-    Query {
-        tenant: String,
-        text: String,
-        params: Vec<Value>,
-        reply: Sender<Result<Relation>>,
-    },
-    Snapshot {
-        tenant: String,
-        reply: Sender<Result<Vec<u8>>>,
-    },
-    Firings {
-        tenant: String,
-        from: usize,
-        reply: Sender<Result<Vec<FiringRecord>>>,
-    },
-    Subscribe {
-        tenant: String,
-        id: u64,
-        writer: SharedWriter,
-        reply: Sender<Result<()>>,
-    },
-    Stats {
-        tenant: String,
-        reply: Sender<Result<(ShardStats, u64)>>,
-    },
-    /// A request arriving through the poller: the worker services it and
-    /// writes the response frame to the connection itself (no rendezvous,
-    /// the poller never blocks on the shard pool).
-    Net {
-        id: u64,
-        req: Request,
-        writer: SharedWriter,
-        t0: Option<Instant>,
-    },
+    /// A tenant-scoped request, creates included (a valid-time create
+    /// carries its already-resolved Δ). The worker services it and
+    /// answers through `reply`.
+    Request { req: Request, reply: Reply },
     /// Migration, step 1 (to the destination worker): buffer every job for
     /// `tenant` until its shard arrives via `Install`.
     Expect { tenant: String },
@@ -382,7 +354,7 @@ enum Job {
     /// drain the jobs buffered since `Expect`.
     Install { transfer: Box<TenantTransfer> },
     /// Periodic housekeeping: drop subscribers whose connection is
-    /// already known dead (poll-mode killed queues), so a tenant that
+    /// already known dead (killed outbound queues), so a tenant that
     /// stops firing doesn't pin dead buffers or inflate the gauge.
     Sweep,
 }
@@ -400,25 +372,12 @@ pub(crate) struct TenantTransfer {
 
 impl Job {
     /// The tenant whose per-tenant order this job participates in — used
-    /// to buffer jobs during migration. Control jobs and `Create` (whose
+    /// to buffer jobs during migration. Control jobs and creates (whose
     /// route was fixed at reservation time) return `None`.
     fn tenant(&self) -> Option<&str> {
         match self {
-            Job::Register { tenant, .. }
-            | Job::Commit { tenant, .. }
-            | Job::CommitAt { tenant, .. }
-            | Job::CommitBatch { tenant, .. }
-            | Job::Query { tenant, .. }
-            | Job::Snapshot { tenant, .. }
-            | Job::Firings { tenant, .. }
-            | Job::Subscribe { tenant, .. }
-            | Job::Stats { tenant, .. } => Some(tenant),
-            Job::Net { req, .. } => request_tenant(req),
-            Job::Create { .. }
-            | Job::Expect { .. }
-            | Job::Extract { .. }
-            | Job::Install { .. }
-            | Job::Sweep => None,
+            Job::Request { req, .. } => request_tenant(req),
+            Job::Expect { .. } | Job::Extract { .. } | Job::Install { .. } | Job::Sweep => None,
         }
     }
 }
@@ -426,17 +385,7 @@ impl Job {
 impl std::fmt::Debug for Job {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match self {
-            Job::Create { .. } => "Create",
-            Job::Register { .. } => "Register",
-            Job::Commit { .. } => "Commit",
-            Job::CommitAt { .. } => "CommitAt",
-            Job::CommitBatch { .. } => "CommitBatch",
-            Job::Query { .. } => "Query",
-            Job::Snapshot { .. } => "Snapshot",
-            Job::Firings { .. } => "Firings",
-            Job::Subscribe { .. } => "Subscribe",
-            Job::Stats { .. } => "Stats",
-            Job::Net { .. } => "Net",
+            Job::Request { reply, .. } => reply.kind,
             Job::Expect { .. } => "Expect",
             Job::Extract { .. } => "Extract",
             Job::Install { .. } => "Install",
@@ -470,35 +419,6 @@ struct Envelope {
     _guard: Option<PendingGuard>,
 }
 
-/// Where a commit's answer goes: a rendezvous channel (in-process callers,
-/// thread-mode connections) or straight onto a poller connection.
-enum CommitSink {
-    Channel(CommitReply),
-    Net {
-        id: u64,
-        writer: SharedWriter,
-        t0: Option<Instant>,
-    },
-}
-
-impl CommitSink {
-    fn respond(self, metrics: &ServerMetrics, r: CommitResult) {
-        match self {
-            CommitSink::Channel(tx) => {
-                let _ = tx.send(r);
-            }
-            CommitSink::Net { id, writer, t0 } => {
-                let resp = r
-                    .map(|(outcomes, firings)| Response::Committed { outcomes, firings })
-                    .unwrap_or_else(error_response);
-                let ok = !matches!(resp, Response::Error { .. });
-                metrics.observe_request("commit", t0, ok);
-                send_response(&writer, id, &resp);
-            }
-        }
-    }
-}
-
 // ---- routing ----------------------------------------------------------------
 
 /// Where a tenant lives, plus the signals the rebalance planner needs.
@@ -518,9 +438,8 @@ struct TenantRoute {
     migrating: Arc<AtomicBool>,
 }
 
-/// The routing table, shared with workers so an async (`Net`-path) create
-/// can roll back its reserved entry on failure without blocking the
-/// poller on a rendezvous.
+/// The routing table, shared with workers so a failed create can roll back
+/// its reserved entry where it is answered.
 type RouteTable = Arc<Mutex<HashMap<String, TenantRoute>>>;
 
 /// Don't re-pin again within this long of the last move.
@@ -655,19 +574,33 @@ impl Runtime {
         );
         Ok((w, guard))
     }
-
     /// Creates a tenant (or reopens a durable one — creation is idempotent
     /// against a directory left by a previous incarnation, which is how
     /// restart recovery works; a *live* duplicate name is a typed error).
     pub fn create_tenant(&self, name: &str, durable: bool) -> Result<()> {
-        self.create_any(name, durable, None)
+        let req = Request::CreateTenant {
+            name: name.into(),
+            durable,
+        };
+        match self.request(req)? {
+            Response::TenantCreated => Ok(()),
+            other => Err(unexpected("TenantCreated", &other)),
+        }
     }
 
     /// Creates a valid-time tenant: `CommitAt` ingests instead of in-order
     /// commits, watermark `W = now − Δ`. `max_delay <= 0` takes the
     /// server-wide default (`--max-delay`).
     pub fn create_vt_tenant(&self, name: &str, durable: bool, max_delay: i64) -> Result<()> {
-        self.create_any(name, durable, Some(self.resolve_max_delay(max_delay)))
+        let req = Request::CreateVtTenant {
+            name: name.into(),
+            durable,
+            max_delay,
+        };
+        match self.request(req)? {
+            Response::TenantCreated => Ok(()),
+            other => Err(unexpected("TenantCreated", &other)),
+        }
     }
 
     fn resolve_max_delay(&self, max_delay: i64) -> i64 {
@@ -676,34 +609,6 @@ impl Runtime {
         } else {
             max_delay
         }
-    }
-
-    fn create_any(&self, name: &str, durable: bool, vt: Option<i64>) -> Result<()> {
-        let (worker, guard) = self.reserve_route(name, durable)?;
-        let (tx, rx) = channel();
-        let sent = self.enqueue(
-            worker,
-            Job::Create {
-                name: name.to_string(),
-                durable,
-                vt,
-                reply: CreateSink::Channel(tx),
-            },
-            Some(guard),
-        );
-        let result = match sent {
-            Ok(()) => recv_reply(rx),
-            Err(e) => Err(e),
-        };
-        if result.is_err() {
-            self.route
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(name);
-        } else {
-            self.metrics.tenants.add(1);
-        }
-        result
     }
 
     /// Live tenant names, sorted.
@@ -719,46 +624,44 @@ impl Runtime {
         names
     }
 
-    fn enqueue(&self, worker: usize, job: Job, guard: Option<PendingGuard>) -> Result<()> {
+    /// Queues `job` on `worker`; hands the job back if the queue is closed.
+    fn enqueue(&self, worker: usize, job: Job, guard: Option<PendingGuard>) -> Option<Job> {
         self.loads[worker].depth.fetch_add(1, Ordering::AcqRel);
-        self.queues[worker]
-            .send(Envelope { job, _guard: guard })
-            .map_err(|_| {
-                self.loads[worker].depth.fetch_sub(1, Ordering::AcqRel);
-                internal("worker queue closed")
-            })
+        let sent = self.queues[worker].send(Envelope { job, _guard: guard });
+        sent.err().map(|e| {
+            self.loads[worker].depth.fetch_sub(1, Ordering::AcqRel);
+            e.0.job
+        })
     }
 
-    fn send(&self, tenant: &str, job: Job) -> Result<()> {
-        let (worker, guard) = {
-            let route = self.route.lock().unwrap_or_else(PoisonError::into_inner);
-            match route.get(tenant) {
-                Some(r) => {
-                    r.last_active.store(self.now_ms(), Ordering::Relaxed);
-                    (r.worker, PendingGuard::acquire(&r.pending))
-                }
-                None => {
-                    return Err(ServerError::Remote {
-                        code: ErrorCode::NoSuchTenant,
-                        message: format!("no tenant `{tenant}`"),
-                    })
-                }
+    /// The worker owning `tenant`, plus a pending guard that keeps the
+    /// tenant from being re-pinned until the job is done.
+    fn lookup(&self, tenant: &str) -> Result<(usize, PendingGuard)> {
+        let route = self.route.lock().unwrap_or_else(PoisonError::into_inner);
+        match route.get(tenant) {
+            Some(r) => {
+                r.last_active.store(self.now_ms(), Ordering::Relaxed);
+                Ok((r.worker, PendingGuard::acquire(&r.pending)))
             }
-        };
-        self.enqueue(worker, job, Some(guard))
+            None => Err(ServerError::Remote {
+                code: ErrorCode::NoSuchTenant,
+                message: format!("no tenant `{tenant}`"),
+            }),
+        }
     }
 
     pub fn register_rules(&self, tenant: &str, source: &str) -> Result<(Vec<String>, Vec<String>)> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Register {
-                tenant: tenant.to_string(),
-                source: source.to_string(),
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
+        let req = Request::RegisterRule {
+            tenant: tenant.into(),
+            source: source.into(),
+        };
+        match self.request(req)? {
+            Response::RulesRegistered {
+                registered,
+                findings,
+            } => Ok((registered, findings)),
+            other => Err(unexpected("RulesRegistered", &other)),
+        }
     }
 
     #[allow(clippy::type_complexity)]
@@ -767,16 +670,14 @@ impl Runtime {
         tenant: &str,
         ops: Vec<LogicalOp>,
     ) -> Result<(Vec<std::result::Result<(), String>>, Vec<FiringRecord>)> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Commit {
-                tenant: tenant.to_string(),
-                ops,
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
+        let req = Request::Commit {
+            tenant: tenant.into(),
+            ops,
+        };
+        match self.request(req)? {
+            Response::Committed { outcomes, firings } => Ok((outcomes, firings)),
+            other => Err(unexpected("Committed", &other)),
+        }
     }
 
     /// Streaming ingest on a valid-time tenant: applies `ops` at the
@@ -784,228 +685,105 @@ impl Runtime {
     /// `arrival` first. Returns the post-ingest watermark and the
     /// phase-tagged stream events (tentative announcements, confirmations,
     /// retractions) the ingest produced.
-    #[allow(clippy::type_complexity)]
     pub fn commit_at(
         &self,
         tenant: &str,
         arrival: tdb_relation::Timestamp,
         valid: tdb_relation::Timestamp,
         ops: Vec<tdb_engine::WriteOp>,
-    ) -> Result<(tdb_relation::Timestamp, Vec<tdb_core::VtFiringEvent>)> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::CommitAt {
-                tenant: tenant.to_string(),
-                arrival,
-                valid,
-                ops,
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
+    ) -> Result<(tdb_relation::Timestamp, Vec<VtFiringEvent>)> {
+        let req = Request::CommitAt {
+            tenant: tenant.into(),
+            arrival,
+            valid,
+            ops,
+        };
+        match self.request(req)? {
+            Response::VtCommitted { watermark, events } => Ok((watermark, events)),
+            other => Err(unexpected("VtCommitted", &other)),
+        }
     }
 
-    /// Applies `ops` as one atomic group commit on the tenant's worker:
-    /// one WAL record, one fsync, one batched evaluation slice.
-    #[allow(clippy::type_complexity)]
-    pub fn commit_batch(
-        &self,
-        tenant: &str,
-        ops: Vec<LogicalOp>,
-    ) -> Result<(Vec<std::result::Result<(), String>>, Vec<FiringRecord>)> {
+    /// Serves `req` in-process and waits for the answer. An error response
+    /// comes back as [`ServerError::Remote`], as it does from
+    /// [`crate::Client::request`].
+    pub fn request(&self, req: Request) -> Result<Response> {
         let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::CommitBatch {
-                tenant: tenant.to_string(),
-                ops,
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
+        let reply = Reply::new(0, &req, ReplyTo::Channel(tx));
+        self.dispatch(req, reply);
+        match rx.recv() {
+            Ok(Response::Error { code, message }) => Err(ServerError::Remote { code, message }),
+            Ok(resp) => Ok(resp),
+            Err(_) => Err(internal("worker dropped the request")),
+        }
     }
 
-    pub fn query(&self, tenant: &str, text: &str, params: Vec<Value>) -> Result<Relation> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Query {
-                tenant: tenant.to_string(),
-                text: text.to_string(),
-                params,
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
+    /// Serves one decoded wire request from the connection behind
+    /// `writer`, which receives the response. The connection layer never
+    /// blocks on the shard pool: tenant-scoped requests are answered by
+    /// the owning worker.
+    pub fn submit(&self, id: u64, req: Request, writer: &SharedWriter) {
+        let reply = Reply::new(id, &req, ReplyTo::Wire(Arc::clone(writer)));
+        self.dispatch(req, reply);
     }
 
-    pub fn snapshot(&self, tenant: &str) -> Result<Vec<u8>> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Snapshot {
-                tenant: tenant.to_string(),
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
-    }
-
-    pub fn firings(&self, tenant: &str, from: usize) -> Result<Vec<FiringRecord>> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Firings {
-                tenant: tenant.to_string(),
-                from,
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
-    }
-
-    /// Registers `writer` for push-streamed firings of `tenant`,
-    /// correlated by request id `id`.
-    pub fn subscribe(&self, tenant: &str, id: u64, writer: SharedWriter) -> Result<()> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Subscribe {
-                tenant: tenant.to_string(),
-                id,
-                writer,
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)?;
-        self.metrics.subscriptions.add(1);
-        Ok(())
-    }
-
-    pub fn stats(&self, tenant: &str) -> Result<(ShardStats, u64)> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Stats {
-                tenant: tenant.to_string(),
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
-    }
-
-    /// Routes one poller-decoded request. Cheap tenant-free requests are
-    /// answered inline (`Some`); tenant-scoped requests are dispatched as
-    /// [`Job::Net`] — the owning worker writes the response itself and the
-    /// poller never blocks on the shard pool (`None`).
-    pub fn submit_net(
-        &self,
-        id: u64,
-        req: Request,
-        writer: &SharedWriter,
-        t0: Option<Instant>,
-    ) -> Option<Response> {
-        match req {
-            Request::Hello { version } => Some(if version == PROTOCOL_VERSION {
-                Response::HelloOk {
-                    version: PROTOCOL_VERSION,
-                }
-            } else {
-                Response::Error {
-                    code: ErrorCode::Protocol,
-                    message: format!(
-                        "protocol version {version} not supported (server speaks {PROTOCOL_VERSION})"
-                    ),
-                }
-            }),
-            Request::ListTenants => Some(Response::Tenants {
+    /// Answers tenant-free requests on the spot and sends everything else
+    /// to its worker.
+    fn dispatch(&self, req: Request, mut reply: Reply) {
+        let r = match req {
+            Request::Hello { version } => hello(version),
+            Request::ListTenants => Ok(Response::Tenants {
                 names: self.tenants(),
             }),
-            Request::Metrics { format } => {
-                let snap = global().snapshot();
-                let text = match format {
-                    MetricsFormat::Prometheus => snap.render_prometheus(),
-                    MetricsFormat::Json => snap.to_json(),
-                };
-                Some(Response::MetricsText { text })
-            }
-            Request::Shutdown => Some(Response::ShuttingDown),
-            // Creates go through the worker asynchronously like every
-            // other tenant-scoped request: `create_tenant` would block on
-            // a rendezvous with a shard worker, and a create queued behind
-            // a deep worker queue (or a slow durable recovery) must not
-            // stall the poller for every connection. The route entry is
-            // reserved here; the worker rolls it back on failure and
-            // writes the response itself.
-            Request::CreateTenant { name, durable } => {
-                self.submit_net_create(id, name, durable, None, writer, t0)
-            }
+            Request::Metrics { format } => Ok(metrics_text(format)),
+            Request::Shutdown => Ok(Response::ShuttingDown),
+            req => match self.place(req, &mut reply) {
+                Ok((worker, guard, req)) => {
+                    let job = Job::Request { req, reply };
+                    if let Some(Job::Request { reply, .. }) = self.enqueue(worker, job, Some(guard))
+                    {
+                        let closed = Err(internal("worker queue closed"));
+                        reply.send(&self.metrics, &self.route, closed);
+                    }
+                    return;
+                }
+                Err(e) => Err(e),
+            },
+        };
+        reply.send(&self.metrics, &self.route, r);
+    }
+
+    /// Picks the worker for a tenant-scoped request and takes its pending
+    /// guard. A create reserves its route entry here — so two racing
+    /// creates of one name serialize on the route lock, not on a worker —
+    /// and marks `reply` to settle the reservation; a valid-time create
+    /// gets its Δ resolved.
+    fn place(&self, req: Request, reply: &mut Reply) -> Result<(usize, PendingGuard, Request)> {
+        let req = match req {
             Request::CreateVtTenant {
                 name,
                 durable,
                 max_delay,
-            } => {
-                let vt = Some(self.resolve_max_delay(max_delay));
-                self.submit_net_create(id, name, durable, vt, writer, t0)
+            } => Request::CreateVtTenant {
+                name,
+                durable,
+                max_delay: self.resolve_max_delay(max_delay),
+            },
+            other => other,
+        };
+        let (worker, guard) = match &req {
+            Request::CreateTenant { name, durable }
+            | Request::CreateVtTenant { name, durable, .. } => {
+                let placed = self.reserve_route(name, *durable)?;
+                reply.reserved = Some(name.clone());
+                placed
             }
-            other => {
-                let Some(tenant) = request_tenant(&other).map(String::from) else {
-                    return Some(error_response(internal("request is not worker-routable")));
-                };
-                match self.send(
-                    &tenant,
-                    Job::Net {
-                        id,
-                        req: other,
-                        writer: Arc::clone(writer),
-                        t0,
-                    },
-                ) {
-                    Ok(()) => None,
-                    Err(e) => Some(error_response(e)),
-                }
-            }
-        }
-    }
-
-    /// The async half of `CreateTenant`/`CreateVtTenant`: reserve the
-    /// route here, let the worker answer (rolling the entry back on
-    /// failure) so the poller never blocks on the shard pool.
-    fn submit_net_create(
-        &self,
-        id: u64,
-        name: String,
-        durable: bool,
-        vt: Option<i64>,
-        writer: &SharedWriter,
-        t0: Option<Instant>,
-    ) -> Option<Response> {
-        match self.reserve_route(&name, durable) {
-            Ok((worker, guard)) => {
-                let job = Job::Create {
-                    name: name.clone(),
-                    durable,
-                    vt,
-                    reply: CreateSink::Net {
-                        id,
-                        writer: Arc::clone(writer),
-                        t0,
-                    },
-                };
-                match self.enqueue(worker, job, Some(guard)) {
-                    Ok(()) => None,
-                    Err(e) => {
-                        self.route
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .remove(&name);
-                        Some(error_response(e))
-                    }
-                }
-            }
-            Err(e) => Some(error_response(e)),
-        }
+            other => match request_tenant(other) {
+                Some(tenant) => self.lookup(tenant)?,
+                None => return Err(internal("request is not worker-routable")),
+            },
+        };
+        Ok((worker, guard, req))
     }
 
     /// Per-worker load signals (planner, gauges, tests).
@@ -1033,7 +811,7 @@ impl Runtime {
     /// indefinitely. Called from the connection layer's planner tick.
     pub fn sweep_subscribers(&self) {
         for w in 0..self.queues.len() {
-            let _ = self.enqueue(w, Job::Sweep, None);
+            self.enqueue(w, Job::Sweep, None);
         }
     }
 
@@ -1087,7 +865,7 @@ impl Runtime {
                 },
                 None,
             )
-            .and_then(|()| {
+            .or_else(|| {
                 self.enqueue(
                     from,
                     Job::Extract {
@@ -1099,11 +877,11 @@ impl Runtime {
                     None,
                 )
             });
-        if let Err(e) = sent {
+        if sent.is_some() {
             // Queues only close at shutdown; release the latch so the
             // error is not sticky.
             migrating.store(false, Ordering::Release);
-            return Err(e);
+            return Err(internal("worker queue closed"));
         }
         r.worker = to;
         self.metrics.repins.inc();
@@ -1182,7 +960,6 @@ impl Runtime {
         }
     }
 }
-
 fn internal(msg: &str) -> ServerError {
     ServerError::Remote {
         code: ErrorCode::Internal,
@@ -1190,9 +967,28 @@ fn internal(msg: &str) -> ServerError {
     }
 }
 
-fn recv_reply<T>(rx: Receiver<Result<T>>) -> Result<T> {
-    rx.recv()
-        .unwrap_or_else(|_| Err(internal("worker dropped the request")))
+fn hello(version: u32) -> Result<Response> {
+    if version == PROTOCOL_VERSION {
+        Ok(Response::HelloOk {
+            version: PROTOCOL_VERSION,
+        })
+    } else {
+        Err(ServerError::Remote {
+            code: ErrorCode::Protocol,
+            message: format!(
+                "protocol version {version} not supported (server speaks {PROTOCOL_VERSION})"
+            ),
+        })
+    }
+}
+
+fn metrics_text(format: MetricsFormat) -> Response {
+    let snap = global().snapshot();
+    let text = match format {
+        MetricsFormat::Prometheus => snap.render_prometheus(),
+        MetricsFormat::Json => snap.to_json(),
+    };
+    Response::MetricsText { text }
 }
 
 /// Tenant names become directory names; keep them path-safe.
@@ -1213,7 +1009,7 @@ fn validate_tenant_name(name: &str) -> Result<()> {
 }
 
 /// The tenant a wire request addresses, if any.
-pub(crate) fn request_tenant(req: &Request) -> Option<&str> {
+fn request_tenant(req: &Request) -> Option<&str> {
     match req {
         Request::RegisterRule { tenant, .. }
         | Request::Commit { tenant, .. }
@@ -1229,7 +1025,7 @@ pub(crate) fn request_tenant(req: &Request) -> Option<&str> {
 }
 
 /// The per-kind label a request is observed under.
-pub(crate) fn request_kind(req: &Request) -> &'static str {
+fn request_kind(req: &Request) -> &'static str {
     match req {
         Request::Hello { .. } => "hello",
         Request::CreateTenant { .. } => "create_tenant",
@@ -1250,7 +1046,7 @@ pub(crate) fn request_kind(req: &Request) -> &'static str {
 }
 
 /// Maps a [`ServerError`] onto the wire's error vocabulary.
-pub(crate) fn error_response(e: ServerError) -> Response {
+fn error_response(e: ServerError) -> Response {
     let (code, message) = match e {
         ServerError::Remote { code, message } => (code, message),
         ServerError::Protocol(p) => (ErrorCode::Protocol, p.to_string()),
@@ -1290,8 +1086,8 @@ struct WorkerState {
     /// Tenants migrating *to* this worker: jobs buffered until `Install`.
     expected: HashMap<String, Vec<Envelope>>,
     load: Arc<WorkerLoad>,
-    /// Shared routing table — only touched to roll back a reserved entry
-    /// when an async (`Net`-path) create fails.
+    /// Shared routing table — only touched to roll back a create's
+    /// reservation when the create fails.
     route: RouteTable,
     metrics: ServerMetrics,
 }
@@ -1304,16 +1100,7 @@ fn worker_loop(
 ) {
     let fixed_us = cfg.coalesce_window_us;
     let adaptive = fixed_us == 0 && cfg.adaptive_coalesce;
-    let mut st = WorkerState {
-        cfg,
-        tenants: HashMap::new(),
-        subscribers: HashMap::new(),
-        adaptive: HashMap::new(),
-        expected: HashMap::new(),
-        load: Arc::clone(&load),
-        route,
-        metrics: ServerMetrics::resolve(),
-    };
+    let mut st = WorkerState::new(cfg, Arc::clone(&load), route);
     // When coalescing, a non-matching envelope dequeued while a group was
     // open carries over to the next iteration instead of being dropped.
     let mut carry: Option<Envelope> = None;
@@ -1351,29 +1138,15 @@ fn worker_loop(
         let t_busy = Instant::now();
         let Envelope { job, _guard } = env;
         match job {
-            Job::Commit { tenant, ops, reply } => {
-                let window = st.commit_window_us(&tenant, fixed_us, adaptive);
-                if window > 0 {
-                    carry =
-                        st.coalesced_commit(&rx, window, tenant, ops, CommitSink::Channel(reply));
-                } else {
-                    let r = st.commit(&tenant, &ops);
-                    let _ = reply.send(r);
-                }
-            }
-            Job::Net {
-                id,
+            Job::Request {
                 req: Request::Commit { tenant, ops },
-                writer,
-                t0,
+                reply,
             } => {
                 let window = st.commit_window_us(&tenant, fixed_us, adaptive);
-                let sink = CommitSink::Net { id, writer, t0 };
                 if window > 0 {
-                    carry = st.coalesced_commit(&rx, window, tenant, ops, sink);
+                    carry = st.coalesced_commit(&rx, window, tenant, ops, reply);
                 } else {
-                    let r = st.commit(&tenant, &ops);
-                    sink.respond(&st.metrics.clone(), r);
+                    st.serve(Request::Commit { tenant, ops }, reply);
                 }
             }
             other => st.handle(other),
@@ -1392,6 +1165,19 @@ fn worker_loop(
 }
 
 impl WorkerState {
+    fn new(cfg: ServerConfig, load: Arc<WorkerLoad>, route: RouteTable) -> WorkerState {
+        WorkerState {
+            cfg,
+            tenants: HashMap::new(),
+            subscribers: HashMap::new(),
+            adaptive: HashMap::new(),
+            expected: HashMap::new(),
+            load,
+            route,
+            metrics: ServerMetrics::resolve(),
+        }
+    }
+
     fn tenant_mut(&mut self, name: &str) -> Result<&mut Tenant> {
         self.tenants
             .get_mut(name)
@@ -1425,113 +1211,7 @@ impl WorkerState {
 
     fn handle(&mut self, job: Job) {
         match job {
-            Job::Create {
-                name,
-                durable,
-                vt,
-                reply,
-            } => {
-                let r = self.create(&name, durable, vt);
-                match reply {
-                    CreateSink::Channel(tx) => {
-                        // The blocking caller (`create_tenant`) does the
-                        // route rollback / gauge bookkeeping itself.
-                        let _ = tx.send(r);
-                    }
-                    CreateSink::Net { id, writer, t0 } => {
-                        let ok = r.is_ok();
-                        if ok {
-                            self.metrics.tenants.add(1);
-                        } else {
-                            self.route
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .remove(&name);
-                        }
-                        let resp = r
-                            .map(|()| Response::TenantCreated)
-                            .unwrap_or_else(error_response);
-                        self.metrics.observe_request("create_tenant", t0, ok);
-                        send_response(&writer, id, &resp);
-                    }
-                }
-            }
-            Job::Register {
-                tenant,
-                source,
-                reply,
-            } => {
-                let r = self
-                    .tenant_mut(&tenant)
-                    .and_then(|t| t.register_rules(&source));
-                let _ = reply.send(r);
-            }
-            Job::Commit { tenant, ops, reply } => {
-                let r = self.commit(&tenant, &ops);
-                let _ = reply.send(r);
-            }
-            Job::CommitAt {
-                tenant,
-                arrival,
-                valid,
-                ops,
-                reply,
-            } => {
-                let r = self.commit_at(&tenant, arrival, valid, ops);
-                let _ = reply.send(r);
-            }
-            Job::CommitBatch { tenant, ops, reply } => {
-                let r = self.commit_batch(&tenant, &ops);
-                let _ = reply.send(r);
-            }
-            Job::Query {
-                tenant,
-                text,
-                params,
-                reply,
-            } => {
-                let r = self
-                    .tenant_mut(&tenant)
-                    .and_then(|t| t.query(&text, &params));
-                let _ = reply.send(r);
-            }
-            Job::Snapshot { tenant, reply } => {
-                let r = self.snapshot(&tenant);
-                let _ = reply.send(r);
-            }
-            Job::Firings {
-                tenant,
-                from,
-                reply,
-            } => {
-                let r = self.tenant_mut(&tenant).map(|t| t.firings_from(from));
-                let _ = reply.send(r);
-            }
-            Job::Subscribe {
-                tenant,
-                id,
-                writer,
-                reply,
-            } => {
-                let r = self.tenant_mut(&tenant).map(|_| ());
-                if r.is_ok() {
-                    self.subscribers
-                        .entry(tenant)
-                        .or_default()
-                        .push((id, writer));
-                }
-                let _ = reply.send(r);
-            }
-            Job::Stats { tenant, reply } => {
-                let r = self.stats(&tenant);
-                let _ = reply.send(r);
-            }
-            Job::Net {
-                id,
-                req,
-                writer,
-                t0,
-            } => self.service_net(id, req, writer, t0),
+            Job::Request { req, reply } => self.serve(req, reply),
             Job::Expect { tenant } => {
                 self.expected.entry(tenant).or_default();
             }
@@ -1600,8 +1280,8 @@ impl WorkerState {
         }
     }
 
-    /// Drops subscribers whose connection reports itself dead (poll-mode
-    /// killed outbound queues), freeing their buffers and keeping the
+    /// Drops subscribers whose connection reports itself dead (killed
+    /// outbound queues), freeing their buffers and keeping the
     /// subscriptions gauge honest even for tenants that never fire again.
     fn sweep_dead_subscribers(&mut self) {
         let metrics = self.metrics.clone();
@@ -1620,107 +1300,114 @@ impl WorkerState {
         });
     }
 
-    /// Services a poller-dispatched request and writes the response frame.
-    fn service_net(&mut self, id: u64, req: Request, writer: SharedWriter, t0: Option<Instant>) {
-        let kind = request_kind(&req);
-        let r: Result<Response> = match req {
+    fn serve(&mut self, req: Request, reply: Reply) {
+        let r = self.service(req, &reply);
+        reply.send(&self.metrics, &self.route, r);
+    }
+
+    /// Turns one tenant-scoped request into its response — the only place
+    /// that does, whichever way the request arrived.
+    fn service(&mut self, req: Request, reply: &Reply) -> Result<Response> {
+        match req {
+            Request::CreateTenant { name, durable } => self
+                .create(&name, durable, None)
+                .map(|()| Response::TenantCreated),
+            Request::CreateVtTenant {
+                name,
+                durable,
+                max_delay,
+            } => self
+                .create(&name, durable, Some(max_delay))
+                .map(|()| Response::TenantCreated),
             Request::RegisterRule { tenant, source } => self
-                .tenant_mut(&tenant)
-                .and_then(|t| t.register_rules(&source))
+                .tenant_mut(&tenant)?
+                .register_rules(&source)
                 .map(|(registered, findings)| Response::RulesRegistered {
                     registered,
                     findings,
                 }),
-            Request::Commit { tenant, ops } => self
-                .commit(&tenant, &ops)
-                .map(|(outcomes, firings)| Response::Committed { outcomes, firings }),
+            Request::Commit { tenant, ops } => self.commit(&tenant, &ops, false),
+            Request::CommitBatch { tenant, ops } => self.commit(&tenant, &ops, true),
             Request::CommitAt {
                 tenant,
                 arrival,
                 valid,
                 ops,
-            } => self
-                .commit_at(&tenant, arrival, valid, ops)
-                .map(|(watermark, events)| Response::VtCommitted { watermark, events }),
-            Request::CommitBatch { tenant, ops } => self
-                .commit_batch(&tenant, &ops)
-                .map(|(outcomes, firings)| Response::Committed { outcomes, firings }),
+            } => self.commit_at(&tenant, arrival, valid, ops),
             Request::Query {
                 tenant,
                 text,
                 params,
             } => self
-                .tenant_mut(&tenant)
-                .and_then(|t| t.query(&text, &params))
+                .tenant_mut(&tenant)?
+                .query(&text, &params)
                 .map(|relation| Response::Rows { relation }),
-            Request::Snapshot { tenant } => self
-                .snapshot(&tenant)
-                .map(|bytes| Response::SnapshotData { bytes }),
-            Request::Firings { tenant, from } => self
-                .tenant_mut(&tenant)
-                .map(|t| t.firings_from(usize::try_from(from).unwrap_or(usize::MAX)))
-                .map(|records| Response::FiringsList { from, records }),
-            Request::SubscribeFirings { tenant } => {
-                let r = self.tenant_mut(&tenant).map(|_| ());
-                if r.is_ok() {
-                    self.subscribers
-                        .entry(tenant)
-                        .or_default()
-                        .push((id, Arc::clone(&writer)));
-                    self.metrics.subscriptions.add(1);
-                }
-                r.map(|()| Response::Subscribed)
+            Request::Snapshot { tenant } => self.snapshot(&tenant),
+            Request::Firings { tenant, from } => {
+                let records = self
+                    .tenant_mut(&tenant)?
+                    .firings_from(usize::try_from(from).unwrap_or(usize::MAX));
+                Ok(Response::FiringsList { from, records })
             }
-            Request::TenantStats { tenant } => {
-                self.stats(&tenant).map(|(s, wal_bytes)| Response::Stats {
-                    states: s.states as u64,
-                    rules: s.rules as u64,
-                    firings: s.firings as u64,
-                    retained: s.retained as u64,
-                    now: s.now,
-                    wal_bytes,
-                    batch_safety: s.batch_safety.gauge_value(),
-                })
-            }
+            Request::SubscribeFirings { tenant } => self.subscribe(tenant, reply),
+            Request::TenantStats { tenant } => self.stats(&tenant),
             other => Err(internal(&format!(
                 "request `{}` is not worker-routable",
                 request_kind(&other)
             ))),
-        };
-        let resp = r.unwrap_or_else(error_response);
-        let ok = !matches!(resp, Response::Error { .. });
-        self.metrics.observe_request(kind, t0, ok);
-        send_response(&writer, id, &resp);
+        }
     }
 
-    fn snapshot(&mut self, tenant: &str) -> Result<Vec<u8>> {
-        self.tenant_mut(tenant).and_then(|t| {
-            if t.is_vt() {
-                return Err(ServerError::Remote {
-                    code: ErrorCode::Unsupported,
-                    message: format!(
-                        "tenant `{tenant}` is a valid-time tenant; its log is its snapshot"
-                    ),
-                });
-            }
-            let snap = t.shard().adb().snapshot().map_err(ServerError::Core)?;
-            Ok(encode_snapshot(&snap))
+    /// Registers the requesting connection for `tenant`'s pushed frames,
+    /// under the subscription's request id.
+    fn subscribe(&mut self, tenant: String, reply: &Reply) -> Result<Response> {
+        let ReplyTo::Wire(writer) = &reply.to else {
+            return Err(ServerError::Remote {
+                code: ErrorCode::Unsupported,
+                message: "firing subscriptions stream to a connection".into(),
+            });
+        };
+        self.tenant_mut(&tenant)?;
+        self.subscribers
+            .entry(tenant)
+            .or_default()
+            .push((reply.id, Arc::clone(writer)));
+        self.metrics.subscriptions.add(1);
+        Ok(Response::Subscribed)
+    }
+
+    fn snapshot(&mut self, tenant: &str) -> Result<Response> {
+        let t = self.tenant_mut(tenant)?;
+        if t.is_vt() {
+            return Err(ServerError::Remote {
+                code: ErrorCode::Unsupported,
+                message: format!(
+                    "tenant `{tenant}` is a valid-time tenant; its log is its snapshot"
+                ),
+            });
+        }
+        let snap = t.shard().adb().snapshot().map_err(ServerError::Core)?;
+        Ok(Response::SnapshotData {
+            bytes: encode_snapshot(&snap),
         })
     }
 
-    fn stats(&mut self, tenant: &str) -> Result<(ShardStats, u64)> {
-        let r = self.tenant_mut(tenant).map(|t| {
-            let stats = t.stats();
-            let wal = t.wal_bytes();
-            (stats, wal, t.watermark())
-        });
-        if let Ok((stats, wal, watermark)) = &r {
-            publish_tenant_gauges(tenant, stats, *wal);
-            if let Some(wm) = watermark {
-                publish_vt_watermark(tenant, *wm);
-            }
+    fn stats(&mut self, tenant: &str) -> Result<Response> {
+        let t = self.tenant_mut(tenant)?;
+        let (s, wal_bytes) = (t.stats(), t.wal_bytes());
+        publish_tenant_gauges(tenant, &s, wal_bytes);
+        if let Some(wm) = t.watermark() {
+            publish_vt_watermark(tenant, wm);
         }
-        r.map(|(stats, wal, _)| (stats, wal))
+        Ok(Response::Stats {
+            states: s.states as u64,
+            rules: s.rules as u64,
+            firings: s.firings as u64,
+            retained: s.retained as u64,
+            now: s.now,
+            wal_bytes,
+            batch_safety: s.batch_safety.gauge_value(),
+        })
     }
 
     fn create(&mut self, name: &str, durable: bool, vt: Option<i64>) -> Result<()> {
@@ -1763,102 +1450,81 @@ impl WorkerState {
             .observe(ops as u64, dt_ns, fences);
     }
 
-    #[allow(clippy::type_complexity)]
-    fn commit(
-        &mut self,
-        tenant: &str,
-        ops: &[LogicalOp],
-    ) -> Result<(Vec<std::result::Result<(), String>>, Vec<FiringRecord>)> {
+    /// Applies a `Commit` op by op, or a `CommitBatch` as one group commit
+    /// (one WAL record, one fsync, one evaluation slice).
+    fn commit(&mut self, tenant: &str, ops: &[LogicalOp], batch: bool) -> Result<Response> {
         let t0 = Instant::now();
         let t = self.tenant_mut(tenant)?;
-        let mut outcomes = Vec::with_capacity(ops.len());
-        let mut firings = Vec::new();
-        for op in ops {
-            let out = t.apply(op)?;
-            outcomes.push(out.result);
-            firings.extend(out.firings);
-        }
-        let stats = t.stats();
-        let wal = t.wal_bytes();
-        // On a valid-time tenant the subscriber stream is the phase-tagged
-        // event stream; the outcome's confirmed records answer the request
-        // but are not re-pushed as plain `Firing` frames.
-        let is_vt = t.is_vt();
-        let watermark = t.watermark();
-        let events = t.drain_vt_events();
-        publish_tenant_gauges(tenant, &stats, wal);
-        if let Some(wm) = watermark {
-            publish_vt_watermark(tenant, wm);
-        }
-        self.observe_apply(tenant, ops.len(), t0.elapsed());
-        if !events.is_empty() {
-            self.push_vt_events(tenant, &events);
-        }
-        if !is_vt && !firings.is_empty() {
-            self.push_firings(tenant, &firings);
-        }
-        Ok((outcomes, firings))
+        let outs = if batch {
+            t.apply_batch(ops)?
+        } else {
+            ops.iter().map(|op| t.apply(op)).collect::<Result<_>>()?
+        };
+        let dt = t0.elapsed();
+        let (outcomes, firings) = split_outcomes(outs);
+        self.applied(tenant, ops.len(), dt, &firings, &[]);
+        Ok(Response::Committed { outcomes, firings })
     }
 
     /// The streaming ingest path: clock to the arrival instant, ingest at
     /// the explicit valid time, stream the phase-tagged events to
     /// subscribers, and answer with watermark + events.
-    #[allow(clippy::type_complexity)]
     fn commit_at(
         &mut self,
         tenant: &str,
         arrival: tdb_relation::Timestamp,
         valid: tdb_relation::Timestamp,
         ops: Vec<tdb_engine::WriteOp>,
-    ) -> Result<(tdb_relation::Timestamp, Vec<tdb_core::VtFiringEvent>)> {
+    ) -> Result<Response> {
         let t0 = Instant::now();
-        let t = self.tenant_mut(tenant)?;
-        let (watermark, events) = t.commit_at(arrival, valid, ops)?;
-        let stats = t.stats();
-        let wal = t.wal_bytes();
-        publish_tenant_gauges(tenant, &stats, wal);
-        publish_vt_watermark(tenant, watermark);
-        self.observe_apply(tenant, 1, t0.elapsed());
-        if !events.is_empty() {
-            self.push_vt_events(tenant, &events);
-        }
-        Ok((watermark, events))
+        let (watermark, events) = self.tenant_mut(tenant)?.commit_at(arrival, valid, ops)?;
+        self.applied(tenant, 1, t0.elapsed(), &[], &events);
+        Ok(Response::VtCommitted { watermark, events })
     }
 
-    /// One group commit: `ops` ride a single WAL record and fsync, and are
-    /// dispatched as one evaluation slice.
-    #[allow(clippy::type_complexity)]
-    fn commit_batch(
+    /// What every successful apply does next: tenant gauges, the
+    /// valid-time watermark, the adaptive-coalescing observation of the
+    /// apply's duration `dt`, and the subscriber push. On a valid-time tenant the subscriber stream is the
+    /// phase-tagged event stream (`events` plus whatever generic commits
+    /// buffered); its confirmed records answer the request but are not
+    /// re-pushed as plain `Firing` frames.
+    fn applied(
         &mut self,
         tenant: &str,
-        ops: &[LogicalOp],
-    ) -> Result<(Vec<std::result::Result<(), String>>, Vec<FiringRecord>)> {
-        let t0 = Instant::now();
-        let t = self.tenant_mut(tenant)?;
-        let outs = t.apply_batch(ops)?;
-        let mut outcomes = Vec::with_capacity(outs.len());
-        let mut firings = Vec::new();
-        for out in outs {
-            outcomes.push(out.result);
-            firings.extend(out.firings);
-        }
-        let stats = t.stats();
-        let wal = t.wal_bytes();
-        let is_vt = t.is_vt();
-        let watermark = t.watermark();
-        let events = t.drain_vt_events();
-        publish_tenant_gauges(tenant, &stats, wal);
-        if let Some(wm) = watermark {
+        ops: usize,
+        dt: Duration,
+        firings: &[FiringRecord],
+        events: &[VtFiringEvent],
+    ) {
+        let Some(t) = self.tenants.get_mut(tenant) else {
+            return;
+        };
+        publish_tenant_gauges(tenant, &t.stats(), t.wal_bytes());
+        if let Some(wm) = t.watermark() {
             publish_vt_watermark(tenant, wm);
         }
-        self.observe_apply(tenant, ops.len(), t0.elapsed());
-        if !events.is_empty() {
-            self.push_vt_events(tenant, &events);
+        let is_vt = t.is_vt();
+        let buffered = t.drain_vt_events();
+        self.observe_apply(tenant, ops, dt);
+        if !is_vt {
+            let frames = firings
+                .iter()
+                .map(|f| Response::Firing { record: f.clone() });
+            self.push(tenant, frames);
+            return;
         }
-        if !is_vt && !firings.is_empty() {
-            self.push_firings(tenant, &firings);
+        let events = events.iter().chain(&buffered);
+        for e in events.clone() {
+            match e.phase {
+                VtPhase::Tentative => self.metrics.vt_tentative.inc(),
+                VtPhase::Confirmed => self.metrics.vt_confirmed.inc(),
+                VtPhase::Retracted => self.metrics.vt_retractions.inc(),
+            }
         }
-        Ok((outcomes, firings))
+        self.push(
+            tenant,
+            events.map(|e| Response::VtFiring { event: e.clone() }),
+        );
     }
 
     /// Time-window coalescer: starting from one dequeued commit, keeps
@@ -1880,10 +1546,10 @@ impl WorkerState {
         window_us: u64,
         tenant: String,
         ops: Vec<LogicalOp>,
-        sink: CommitSink,
+        reply: Reply,
     ) -> Option<Envelope> {
         let mut all_ops = ops;
-        let mut group: Vec<(usize, CommitSink)> = vec![(all_ops.len(), sink)];
+        let mut group: Vec<(usize, Reply)> = vec![(all_ops.len(), reply)];
         // Members' pending guards stay alive until their replies are sent,
         // so the router keeps seeing the tenant as busy.
         let mut guards: Vec<Option<PendingGuard>> = Vec::new();
@@ -1892,160 +1558,93 @@ impl WorkerState {
             self.tenants.get(&tenant).map(|t| t.batch_certificate()),
             Some(BatchCertificate::CascadeRequired)
         );
+        // A cascade-required group closes at once: no window to wait out.
+        let window_us = if coalescable { window_us } else { 0 };
         let deadline = Instant::now() + Duration::from_micros(window_us);
-        if coalescable {
-            loop {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            let Ok(env) = rx.recv_timeout(left) else {
+                break;
+            };
+            self.load.depth.fetch_sub(1, Ordering::AcqRel);
+            if let Some(t) = env.job.tenant() {
+                if let Some(buf) = self.expected.get_mut(t) {
+                    buf.push(env);
+                    continue;
                 }
-                match rx.recv_timeout(left) {
-                    Ok(env) => {
-                        self.load.depth.fetch_sub(1, Ordering::AcqRel);
-                        if let Some(t) = env.job.tenant() {
-                            if let Some(buf) = self.expected.get_mut(t) {
-                                buf.push(env);
-                                continue;
-                            }
-                        }
-                        let Envelope { job, _guard } = env;
-                        match job {
-                            Job::Commit {
-                                tenant: t2,
-                                ops,
-                                reply,
-                            } if t2 == tenant => {
-                                group.push((ops.len(), CommitSink::Channel(reply)));
-                                all_ops.extend(ops);
-                                guards.push(_guard);
-                            }
-                            Job::Net {
-                                id,
-                                req: Request::Commit { tenant: t2, ops },
-                                writer,
-                                t0,
-                            } if t2 == tenant => {
-                                group.push((ops.len(), CommitSink::Net { id, writer, t0 }));
-                                all_ops.extend(ops);
-                                guards.push(_guard);
-                            }
-                            other => {
-                                carry = Some(Envelope { job: other, _guard });
-                                break;
-                            }
-                        }
-                    }
-                    Err(_) => break,
+            }
+            let Envelope { job, _guard } = env;
+            match job {
+                Job::Request {
+                    req: Request::Commit { tenant: t2, ops },
+                    reply,
+                } if t2 == tenant => {
+                    group.push((ops.len(), reply));
+                    all_ops.extend(ops);
+                    guards.push(_guard);
+                }
+                other => {
+                    carry = Some(Envelope { job: other, _guard });
+                    break;
                 }
             }
         }
         let t0 = Instant::now();
-        match self.apply_grouped(&tenant, &all_ops) {
-            Ok(outs) => {
-                self.observe_apply(&tenant, all_ops.len(), t0.elapsed());
-                let mut firings = Vec::new();
-                let mut iter = outs.into_iter();
-                let metrics = self.metrics.clone();
-                for (n, sink) in group {
-                    let mut outcomes = Vec::with_capacity(n);
-                    let mut job_firings = Vec::new();
-                    for out in iter.by_ref().take(n) {
-                        outcomes.push(out.result);
-                        job_firings.extend(out.firings);
-                    }
-                    firings.extend_from_slice(&job_firings);
-                    sink.respond(&metrics, Ok((outcomes, job_firings)));
-                }
-                // `apply_grouped` just succeeded, so the tenant exists; the
-                // lookup stays fallible to keep this path panic-free.
-                let mut is_vt = false;
-                let mut events = Vec::new();
-                if let Some(t) = self.tenants.get_mut(&tenant) {
-                    let (stats, wal) = (t.stats(), t.wal_bytes());
-                    publish_tenant_gauges(&tenant, &stats, wal);
-                    is_vt = t.is_vt();
-                    events = t.drain_vt_events();
-                }
-                if !events.is_empty() {
-                    self.push_vt_events(&tenant, &events);
-                }
-                if !is_vt && !firings.is_empty() {
-                    self.push_firings(&tenant, &firings);
-                }
-            }
-            Err(e) => {
-                // A structural failure fails every commit in the group; the
-                // error is rendered once and fanned out as typed copies.
-                let (code, message) = match e {
-                    ServerError::Remote { code, message } => (code, message),
-                    other => (ErrorCode::Internal, other.to_string()),
-                };
-                let metrics = self.metrics.clone();
-                for (_, sink) in group {
-                    sink.respond(
-                        &metrics,
-                        Err(ServerError::Remote {
-                            code,
-                            message: message.clone(),
-                        }),
-                    );
-                }
-            }
-        }
+        let r = self
+            .tenant_mut(&tenant)
+            .and_then(|t| t.apply_batch(&all_ops));
+        self.reply_group(&tenant, all_ops.len(), t0.elapsed(), group, r);
         drop(guards);
         carry
     }
 
-    fn apply_grouped(
+    /// Answers every member of a coalesced group. On success each member
+    /// gets its own slice of the outcomes and firings (answered before the
+    /// post-apply step, so gauges and pushes never delay a member's ack); a
+    /// failure fails the whole group, rendered once and sent to every
+    /// member as the same frame a single commit would get.
+    fn reply_group(
         &mut self,
         tenant: &str,
-        ops: &[LogicalOp],
-    ) -> Result<Vec<tdb_core::ApplyOutcome>> {
-        self.tenant_mut(tenant)?.apply_batch(ops)
-    }
-
-    /// Streams `firings` to every subscriber of `tenant`, dropping dead
-    /// connections.
-    fn push_firings(&mut self, tenant: &str, firings: &[FiringRecord]) {
-        let Some(subs) = self.subscribers.get_mut(tenant) else {
-            return;
-        };
-        let metrics = &self.metrics;
-        subs.retain(|(id, writer)| {
-            let mut w = match writer.lock() {
-                Ok(w) => w,
-                Err(_) => {
-                    metrics.subscriptions.add(-1);
-                    return false;
+        ops: usize,
+        dt: Duration,
+        group: Vec<(usize, Reply)>,
+        r: Result<Vec<ApplyOutcome>>,
+    ) {
+        match r {
+            Ok(outs) => {
+                let mut outs = outs.into_iter();
+                let mut all_firings = Vec::new();
+                for (n, reply) in group {
+                    let (outcomes, firings) = split_outcomes(outs.by_ref().take(n));
+                    all_firings.extend_from_slice(&firings);
+                    let resp = Response::Committed { outcomes, firings };
+                    reply.deliver(&self.metrics, &self.route, resp);
                 }
-            };
-            for f in firings {
-                let payload = encode_response(*id, &Response::Firing { record: f.clone() });
-                if write_frame(&mut *w, &payload).is_err() {
-                    metrics.subscriptions.add(-1);
-                    return false;
-                }
-                metrics.firings_streamed.inc();
+                self.applied(tenant, ops, dt, &all_firings, &[]);
             }
-            let _ = w.flush();
-            true
-        });
-    }
-
-    /// Streams phase-tagged valid-time events to every subscriber of
-    /// `tenant` (the vt analogue of [`WorkerState::push_firings`]: one
-    /// `VtFiring` frame per event), counting each phase.
-    fn push_vt_events(&mut self, tenant: &str, events: &[tdb_core::VtFiringEvent]) {
-        for e in events {
-            match e.phase {
-                tdb_core::VtPhase::Tentative => self.metrics.vt_tentative.inc(),
-                tdb_core::VtPhase::Confirmed => self.metrics.vt_confirmed.inc(),
-                tdb_core::VtPhase::Retracted => self.metrics.vt_retractions.inc(),
+            Err(e) => {
+                let frame = error_response(e);
+                for (_, reply) in group {
+                    reply.deliver(&self.metrics, &self.route, frame.clone());
+                }
             }
         }
+    }
+
+    /// Streams `frames` to every subscriber of `tenant`, each under its own
+    /// subscription id, dropping subscribers whose connection is gone.
+    fn push(&mut self, tenant: &str, frames: impl Iterator<Item = Response>) {
         let Some(subs) = self.subscribers.get_mut(tenant) else {
             return;
         };
+        let frames: Vec<Response> = frames.collect();
+        if frames.is_empty() {
+            return;
+        }
         let metrics = &self.metrics;
         subs.retain(|(id, writer)| {
             let mut w = match writer.lock() {
@@ -2055,9 +1654,8 @@ impl WorkerState {
                     return false;
                 }
             };
-            for e in events {
-                let payload = encode_response(*id, &Response::VtFiring { event: e.clone() });
-                if write_frame(&mut *w, &payload).is_err() {
+            for frame in &frames {
+                if write_frame(&mut *w, &encode_response(*id, frame)).is_err() {
                     metrics.subscriptions.add(-1);
                     return false;
                 }
@@ -2069,12 +1667,60 @@ impl WorkerState {
     }
 }
 
+/// Splits per-op apply outcomes into the wire's outcome list and the
+/// firings they produced, in op order.
+#[allow(clippy::type_complexity)]
+fn split_outcomes(
+    outs: impl IntoIterator<Item = ApplyOutcome>,
+) -> (Vec<std::result::Result<(), String>>, Vec<FiringRecord>) {
+    let mut outcomes = Vec::new();
+    let mut firings = Vec::new();
+    for out in outs {
+        outcomes.push(out.result);
+        firings.extend(out.firings);
+    }
+    (outcomes, firings)
+}
+
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use tdb_engine::WriteOp;
-    use tdb_relation::QueryDef;
+    use tdb_relation::{QueryDef, Relation, Value};
+
+    /// An in-memory connection: keeps every byte written to it.
+    #[derive(Debug, Clone, Default)]
+    struct VecWriter(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for VecWriter {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl FrameSink for VecWriter {}
+
+    impl VecWriter {
+        fn shared(&self) -> SharedWriter {
+            Arc::new(Mutex::new(self.clone()))
+        }
+
+        /// Every frame written so far, decoded as (request id, response).
+        fn frames(&self) -> Vec<(u64, Response)> {
+            let bytes = self.0.lock().unwrap().clone();
+            let mut rd: &[u8] = &bytes;
+            let mut out = Vec::new();
+            while let Ok(payload) = crate::wire::read_frame(&mut rd) {
+                out.push(crate::wire::decode_response(&payload).unwrap());
+            }
+            out
+        }
+    }
 
     fn seed(rt: &Runtime, tenant: &str) {
         rt.create_tenant(tenant, false).unwrap();
@@ -2108,6 +1754,55 @@ mod tests {
         ]
     }
 
+    fn query_n(rt: &Runtime, tenant: &str) -> Relation {
+        let req = Request::Query {
+            tenant: tenant.into(),
+            text: "item n".into(),
+            params: vec![],
+        };
+        match rt.request(req).unwrap() {
+            Response::Rows { relation } => relation,
+            other => panic!("expected rows, got {other:?}"),
+        }
+    }
+
+    fn firings(rt: &Runtime, tenant: &str) -> Vec<FiringRecord> {
+        let req = Request::Firings {
+            tenant: tenant.into(),
+            from: 0,
+        };
+        match rt.request(req).unwrap() {
+            Response::FiringsList { records, .. } => records,
+            other => panic!("expected firings, got {other:?}"),
+        }
+    }
+
+    /// (rules, wal bytes, batch-safety gauge) from `TenantStats`. Also a
+    /// rendezvous: the tenant's worker has finished every earlier job.
+    fn stats(rt: &Runtime, tenant: &str) -> (u64, u64, i64) {
+        let req = Request::TenantStats {
+            tenant: tenant.into(),
+        };
+        match rt.request(req).unwrap() {
+            Response::Stats {
+                rules,
+                wal_bytes,
+                batch_safety,
+                ..
+            } => (rules, wal_bytes, batch_safety),
+            other => panic!("expected stats, got {other:?}"),
+        }
+    }
+
+    /// Subscribes `sink` to `tenant`'s pushed frames under request `id`.
+    fn subscribe(rt: &Runtime, tenant: &str, id: u64, sink: SharedWriter) {
+        let req = Request::SubscribeFirings {
+            tenant: tenant.into(),
+        };
+        rt.submit(id, req, &sink);
+        stats(rt, tenant);
+    }
+
     #[test]
     fn tenants_route_and_serialize_independently() {
         let rt = Runtime::start(ServerConfig {
@@ -2133,14 +1828,11 @@ mod tests {
         assert_eq!(firings_a.len(), 1);
         let (_, firings_b) = rt.commit("b", bump(3)).unwrap();
         assert!(firings_b.is_empty(), "tenant b must not see a's state");
-        assert_eq!(
-            rt.query("a", "item n", vec![]).unwrap(),
-            Relation::scalar(Value::Int(7))
-        );
-        assert_eq!(rt.firings("a", 0).unwrap().len(), 1);
-        assert_eq!(rt.firings("b", 0).unwrap().len(), 0);
-        let (stats, wal) = rt.stats("a").unwrap();
-        assert_eq!(stats.rules, 1);
+        assert_eq!(query_n(&rt, "a"), Relation::scalar(Value::Int(7)));
+        assert_eq!(firings(&rt, "a").len(), 1);
+        assert_eq!(firings(&rt, "b").len(), 0);
+        let (rules, wal, _) = stats(&rt, "a");
+        assert_eq!(rules, 1);
         assert_eq!(wal, 0);
         rt.shutdown();
     }
@@ -2167,30 +1859,16 @@ mod tests {
                 .any(|f| f.contains("batch-safety: cascade-required")),
             "register reports the certificate: {findings:?}"
         );
-        let (outcomes, firings) = rt
-            .commit(
-                "t",
-                vec![
-                    LogicalOp::AdvanceClock { delta: 1 },
-                    LogicalOp::Update {
-                        ops: vec![WriteOp::SetItem {
-                            item: "n".into(),
-                            value: Value::Int(1),
-                        }],
-                    },
-                ],
-            )
-            .unwrap();
+        let (outcomes, firings) = rt.commit("t", bump(1)).unwrap();
         assert!(outcomes.iter().all(|o| o.is_ok()));
         assert_eq!(firings.len(), 1);
         assert_eq!(firings[0].rule, "bump");
         assert_eq!(
-            rt.query("t", "item n", vec![]).unwrap(),
+            query_n(&rt, "t"),
             Relation::scalar(Value::Int(2)),
             "the fired action's write applied"
         );
-        let (stats, _) = rt.stats("t").unwrap();
-        assert_eq!(stats.batch_safety.gauge_value(), -1);
+        assert_eq!(stats(&rt, "t").2, -1);
         rt.shutdown();
     }
 
@@ -2200,28 +1878,14 @@ mod tests {
         seed(&rt, "t");
         rt.register_rules("t", "rule watch { when n() >= 5; then notify; }")
             .unwrap();
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        #[derive(Debug)]
-        struct VecWriter(Arc<Mutex<Vec<u8>>>);
-        impl Write for VecWriter {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        impl FrameSink for VecWriter {}
-        rt.subscribe("t", 99, Arc::new(Mutex::new(VecWriter(buf.clone()))))
-            .unwrap();
+        let sink = VecWriter::default();
+        subscribe(&rt, "t", 99, sink.shared());
         rt.commit("t", bump(9)).unwrap();
-        let bytes = buf.lock().unwrap().clone();
-        let payload = crate::wire::read_frame(&mut &bytes[..]).unwrap();
-        let (id, resp) = crate::wire::decode_response(&payload).unwrap();
-        assert_eq!(id, 99);
-        match resp {
-            Response::Firing { record } => assert_eq!(record.rule, "watch"),
+        let frames = sink.frames();
+        assert_eq!(frames.len(), 2, "{frames:?}");
+        assert_eq!(frames[0], (99, Response::Subscribed));
+        match &frames[1] {
+            (99, Response::Firing { record }) => assert_eq!(record.rule, "watch"),
             other => panic!("expected firing frame, got {other:?}"),
         }
         rt.shutdown();
@@ -2259,21 +1923,8 @@ mod tests {
                 },
             ]
         };
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        #[derive(Debug)]
-        struct VecWriter(Arc<Mutex<Vec<u8>>>);
-        impl Write for VecWriter {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        impl FrameSink for VecWriter {}
-        rt.subscribe("mv", 7, Arc::new(Mutex::new(VecWriter(buf.clone()))))
-            .unwrap();
+        let sink = VecWriter::default();
+        subscribe(&rt, "mv", 7, sink.shared());
 
         // A reply races the worker's pending-guard drop by a few µs, so an
         // immediate re-pin can be (correctly) refused; the planner would
@@ -2298,29 +1949,27 @@ mod tests {
             assert_eq!(firings.len(), 1);
         }
         assert_eq!(rt.metrics.repins.get(), before + 4);
-        assert_eq!(
-            rt.query("mv", "item n", vec![]).unwrap(),
-            Relation::scalar(Value::Int(40))
-        );
-        let all = rt.firings("mv", 0).unwrap();
+        assert_eq!(query_n(&rt, "mv"), Relation::scalar(Value::Int(40)));
+        let all = firings(&rt, "mv");
         assert_eq!(all.len(), 4, "one firing per post-repin commit");
         let times: Vec<_> = all.iter().map(|f| f.time).collect();
         let mut sorted = times.clone();
         sorted.sort();
         assert_eq!(times, sorted, "per-tenant firing order survived moves");
 
-        // The subscriber moved with the shard: 4 pushed frames, in order.
-        let bytes = buf.lock().unwrap().clone();
-        let mut rd: &[u8] = &bytes;
-        let mut pushed = Vec::new();
-        while let Ok(payload) = crate::wire::read_frame(&mut rd) {
-            let (id, resp) = crate::wire::decode_response(&payload).unwrap();
-            assert_eq!(id, 7);
-            match resp {
-                Response::Firing { record } => pushed.push(record),
-                other => panic!("expected firing, got {other:?}"),
-            }
-        }
+        // The subscriber moved with the shard: after the subscription's
+        // answer, 4 pushed frames, in order.
+        let mut frames = sink.frames().into_iter();
+        assert_eq!(frames.next(), Some((7, Response::Subscribed)));
+        let pushed: Vec<FiringRecord> = frames
+            .map(|(id, resp)| {
+                assert_eq!(id, 7);
+                match resp {
+                    Response::Firing { record } => record,
+                    other => panic!("expected firing, got {other:?}"),
+                }
+            })
+            .collect();
         assert_eq!(pushed, all, "pushed stream matches the firing log");
 
         // Busy tenants refuse to move: simulate in-flight work.
@@ -2395,12 +2044,11 @@ mod tests {
                 true
             }
         }
-        rt.subscribe("swp", 1, Arc::new(Mutex::new(DeadWriter)))
-            .unwrap();
+        subscribe(&rt, "swp", 1, Arc::new(Mutex::new(DeadWriter)));
         let before = rt.metrics.subscriptions.get();
         rt.sweep_subscribers();
         // Rendezvous behind the sweep job so it has definitely run.
-        let _ = rt.stats("swp").unwrap();
+        stats(&rt, "swp");
         assert_eq!(rt.metrics.subscriptions.get(), before - 1);
         rt.shutdown();
     }
@@ -2440,11 +2088,11 @@ mod tests {
         let mut b = AdaptiveState::default();
         b.observe(1, u64::MAX / 2, 0);
         assert!(b.window_us(&BatchCertificate::Exact) <= ADAPTIVE_MAX_WINDOW_US);
-        rt_smoke_for_net_jobs();
     }
 
-    /// `submit_net` services tenant-free requests inline and routes
-    /// tenant-scoped ones to workers that answer on the wire.
+    /// `submit` answers tenant-free requests on the spot and routes
+    /// tenant-scoped ones to workers that answer on the same connection.
+    #[test]
     fn rt_smoke_for_net_jobs() {
         let rt = Runtime::start(ServerConfig {
             workers: 1,
@@ -2452,42 +2100,130 @@ mod tests {
         })
         .unwrap();
         seed(&rt, "net");
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        #[derive(Debug)]
-        struct VecWriter(Arc<Mutex<Vec<u8>>>);
-        impl Write for VecWriter {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        impl FrameSink for VecWriter {}
-        let writer: SharedWriter = Arc::new(Mutex::new(VecWriter(buf.clone())));
-        assert!(matches!(
-            rt.submit_net(1, Request::ListTenants, &writer, None),
-            Some(Response::Tenants { .. })
-        ));
-        // A tenant-scoped request is answered by the worker on the writer.
-        let r = rt.submit_net(
-            2,
-            Request::Commit {
-                tenant: "net".into(),
-                ops: bump(5),
-            },
-            &writer,
-            None,
+        let sink = VecWriter::default();
+        let writer = sink.shared();
+        rt.submit(1, Request::ListTenants, &writer);
+        assert!(
+            matches!(sink.frames().as_slice(), [(1, Response::Tenants { .. })]),
+            "answered without a worker"
         );
-        assert!(r.is_none(), "worker owns the response");
-        // Rendezvous behind it to make sure the Net job was serviced.
-        let _ = rt.stats("net").unwrap();
-        let bytes = buf.lock().unwrap().clone();
-        let payload = crate::wire::read_frame(&mut &bytes[..]).unwrap();
-        let (id, resp) = crate::wire::decode_response(&payload).unwrap();
-        assert_eq!(id, 2);
-        assert!(matches!(resp, Response::Committed { .. }), "{resp:?}");
+        let commit = Request::Commit {
+            tenant: "net".into(),
+            ops: bump(5),
+        };
+        rt.submit(2, commit, &writer);
+        // Rendezvous behind it to make sure the worker answered.
+        stats(&rt, "net");
+        let frames = sink.frames();
+        assert_eq!(frames.len(), 2);
+        assert!(
+            matches!(frames[1], (2, Response::Committed { .. })),
+            "{frames:?}"
+        );
         rt.shutdown();
+    }
+
+    /// A valid-time create is counted under its own kind whichever way it
+    /// arrives: in-process or from a connection.
+    #[test]
+    fn vt_create_counts_as_create_vt_tenant() {
+        let rt = Runtime::start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let counter = global().counter_with("tdb_server_requests", &[("kind", "create_vt_tenant")]);
+        let before = counter.get();
+        rt.create_vt_tenant("vt-kind-a", false, 0).unwrap();
+        let sink = VecWriter::default();
+        let create = Request::CreateVtTenant {
+            name: "vt-kind-b".into(),
+            durable: false,
+            max_delay: 4,
+        };
+        rt.submit(1, create, &sink.shared());
+        stats(&rt, "vt-kind-b");
+        assert_eq!(sink.frames(), vec![(1, Response::TenantCreated)]);
+        assert_eq!(counter.get(), before + 2);
+        rt.shutdown();
+    }
+
+    /// A failed group commit answers every member with the frame a single
+    /// failed commit gets: a WAL/fsync failure stays a `Storage` error.
+    #[test]
+    fn group_failure_keeps_the_error_code() {
+        let route: RouteTable = Arc::new(Mutex::new(HashMap::new()));
+        let mut st = WorkerState::new(
+            ServerConfig::default(),
+            Arc::new(WorkerLoad::default()),
+            Arc::clone(&route),
+        );
+        let fsync = || ServerError::Core(tdb_core::CoreError::Storage("fsync: EIO".into()));
+        let commit = Request::Commit {
+            tenant: "g".into(),
+            ops: bump(1),
+        };
+        let single = VecWriter::default();
+        Reply::new(9, &commit, ReplyTo::Wire(single.shared())).send(
+            &st.metrics,
+            &route,
+            Err(fsync()),
+        );
+        let mut frames = single.frames();
+        assert_eq!(frames.len(), 1, "one frame for the single commit");
+        let (id, expected) = frames.remove(0);
+        assert_eq!(id, 9);
+        assert!(
+            matches!(
+                expected,
+                Response::Error {
+                    code: ErrorCode::Storage,
+                    ..
+                }
+            ),
+            "{expected:?}"
+        );
+
+        let members: Vec<VecWriter> = (0..3).map(|_| VecWriter::default()).collect();
+        let group = members
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (2, Reply::new(i as u64, &commit, ReplyTo::Wire(m.shared()))))
+            .collect();
+        st.reply_group("g", 6, Duration::ZERO, group, Err(fsync()));
+        for (i, m) in members.iter().enumerate() {
+            assert_eq!(m.frames(), vec![(i as u64, expected.clone())]);
+        }
+    }
+
+    /// A coalesced commit on a valid-time tenant publishes the watermark
+    /// gauge exactly as an uncoalesced one does.
+    #[test]
+    fn coalesced_vt_commit_publishes_the_watermark() {
+        let watermark = |window_us: u64, tenant: &str| {
+            let rt = Runtime::start(ServerConfig {
+                workers: 1,
+                coalesce_window_us: window_us,
+                ..ServerConfig::default()
+            })
+            .unwrap();
+            rt.create_vt_tenant(tenant, false, 2).unwrap();
+            let ops = vec![
+                LogicalOp::SetItem {
+                    name: "n".into(),
+                    value: Value::Int(3),
+                },
+                LogicalOp::AdvanceClock { delta: 9 },
+            ];
+            let (outcomes, _) = rt.commit(tenant, ops).unwrap();
+            assert!(outcomes.iter().all(|o| o.is_ok()), "{outcomes:?}");
+            rt.shutdown();
+            global()
+                .gauge_with("tdb_server_vt_watermark", &[("tenant", tenant)])
+                .get()
+        };
+        let uncoalesced = watermark(0, "vt-wm-plain");
+        assert!(uncoalesced > 0, "the clock moved: {uncoalesced}");
+        assert_eq!(watermark(500, "vt-wm-coalesced"), uncoalesced);
     }
 }

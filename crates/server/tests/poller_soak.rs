@@ -1,5 +1,4 @@
-//! Soak tests for the readiness-based connection layer (`ConnMode::Poll`,
-//! the default): many mostly-idle subscriber connections multiplexed onto
+//! Soak tests for the readiness-based connection layer: many mostly-idle subscriber connections multiplexed onto
 //! the single poller thread, concurrent committers driving pushes through
 //! the per-connection outbound queues, and the slow-consumer backpressure
 //! path (bounded buffer → typed kill, never unbounded memory).
@@ -11,7 +10,7 @@ use std::time::Duration;
 use tdb_core::storage::LogicalOp;
 use tdb_engine::WriteOp;
 use tdb_relation::{parse_query, QueryDef, Value};
-use tdb_server::{Client, ConnMode, Server, ServerConfig};
+use tdb_server::{Client, Server, ServerConfig};
 
 const RULE: &str = "rule watch { when n() >= 5; then notify; }";
 
@@ -212,31 +211,5 @@ fn slow_consumer_is_disconnected_not_buffered_without_bound() {
         "expected a disconnect, hit a read timeout after {drained}/{committed} \
          frames: {msg}"
     );
-    handle.stop();
-}
-
-/// The thread-per-connection baseline still serves the same protocol
-/// (it is the E20 comparison point).
-#[test]
-fn thread_mode_still_serves() {
-    let handle = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        conn_mode: ConnMode::Thread,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let mut c = Client::connect(handle.addr()).unwrap();
-    c.create_tenant("t", false).unwrap();
-    assert!(c.commit("t", seed_ops()).unwrap().all_ok());
-    c.register_rules("t", RULE).unwrap();
-    let mut sub = Client::connect(handle.addr()).unwrap();
-    sub.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let id = sub.subscribe("t").unwrap();
-    let out = c.commit("t", toggles(1, 9)).unwrap();
-    assert_eq!(out.firings.len(), 1);
-    let (rid, rec) = sub.recv_firing().unwrap();
-    assert_eq!(rid, id);
-    assert_eq!(rec, out.firings[0]);
     handle.stop();
 }

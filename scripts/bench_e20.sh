@@ -2,8 +2,8 @@
 # Runs the E20 connection-layer experiment and leaves a machine-readable
 # copy in BENCH_E20.json at the repo root:
 #
-#   E20a  thread-per-connection vs readiness poller at 16/64/256
-#         concurrent committing connections (one tenant each), firings
+#   E20a  readiness poller at 16/64/256 concurrent committing
+#         connections (one tenant each) on one connection thread, firings
 #         checked byte-for-byte against the single-threaded library oracle
 #   E20b  skewed load (1 hot + 7 cold tenants on 2 workers) with
 #         idle-shard re-pinning off vs on

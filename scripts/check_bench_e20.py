@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
-"""Schema/correctness check for BENCH_E20.json (readiness poller vs
-thread-per-connection, idle-shard re-pinning, adaptive coalescing).
+"""Schema/correctness check for BENCH_E20.json (readiness poller
+connection scaling, idle-shard re-pinning, adaptive coalescing).
 
 Correctness bars are hard everywhere: every scaling and coalesce row must
-report firings byte-identical to the single-threaded library oracle, and
-the rebalance=on skew row must actually re-pin at least one tenant.
+report firings byte-identical to the single-threaded library oracle, every
+scaling row must be served by the one poller thread, and the
+rebalance=on skew row must actually re-pin at least one tenant.
 
 Performance bars follow the E13/E17 host-limited precedent: ratios of two
 independently timed runs on a shared (often 1-CPU) runner compound
-scheduler jitter, so the floors are conservative. On a 1-CPU host the
-poller only has to avoid collapse (0.5x of the thread baseline); on real
-parallel hardware it must hold 0.75x or better while using a small
-constant number of connection threads instead of one per socket. The
-adaptive coalescer must stay within 0.5x / 0.8x (1-CPU / multi-CPU) of
-the best fixed window it is replacing."""
+scheduler jitter, so the floors are conservative. The adaptive coalescer
+must stay within 0.5x / 0.8x (1-CPU / multi-CPU) of the best fixed window
+it is replacing."""
 import json
 import sys
 
@@ -27,25 +25,10 @@ scaling = doc["scaling"]
 assert scaling, "no scaling rows"
 assert all(r["firings_ok"] for r in scaling), \
     "a connection diverged from the library oracle"
-by_conns = {}
+# One connection loop: the poller serves every count on one thread.
 for r in scaling:
-    by_conns.setdefault(r["conns"], {})[r["mode"]] = r
-floor = 0.5 if host_limited else 0.75
-for conns, modes in sorted(by_conns.items()):
-    assert {"thread", "poll"} <= modes.keys(), \
-        f"conns={conns}: need both modes, got {sorted(modes)}"
-    t, p = modes["thread"], modes["poll"]
-    ratio = p["agg_states_per_sec"] / t["agg_states_per_sec"]
-    assert ratio >= floor, \
-        (f"conns={conns}: poller at {ratio:.2f}x of thread baseline "
-         f"(floor {floor:.2f}, host_cpus={cpus})")
-    # The point of the poller: O(1) connection threads, not one per socket.
-    assert p["conn_threads"] < t["conn_threads"], \
-        f"conns={conns}: poller uses {p['conn_threads']} conn threads, " \
-        f"thread mode {t['conn_threads']}"
-    if conns >= 8:
-        assert p["conn_threads"] * 4 <= t["conn_threads"], \
-            f"conns={conns}: poller thread count is not a small fraction"
+    assert r["conn_threads"] == 1, \
+        f"conns={r['conns']}: {r['conn_threads']} connection threads, expected 1"
 
 # --- E20b: skewed load / re-pinning -------------------------------------
 skew = {r["rebalance"]: r for r in doc["skew"]}
@@ -80,10 +63,9 @@ assert ratio >= floor, \
 print(f"check_bench_e20: OK (host_cpus={cpus}"
       + (", host-limited floors" if host_limited else "")
       + "; scaling "
-      + ", ".join(
-          f"{c}conns poll/thread "
-          f"{m['poll']['agg_states_per_sec'] / m['thread']['agg_states_per_sec']:.2f}x"
-          for c, m in sorted(by_conns.items()))
+      + ", ".join(f"{r['conns']}conns {r['agg_states_per_sec']:.0f} states/s"
+                  for r in scaling)
+      + " on 1 conn thread"
       + f"; repins={skew[True]['repins']}"
       + f"; adaptive {ratio:.2f}x of best fixed window"
       + "; firings identical everywhere)")
